@@ -17,7 +17,7 @@ from .errors import (
     SeriesMirageError,
     UnsupportedEquationError,
 )
-from .expsum import ExpSum, TimePoly, combine, expsum_diff, tpoly_diff
+from .expsum import ExpSum, TimePoly, expsum_diff, tpoly_diff
 from .methods import (
     Equation,
     EquationKind,
@@ -56,7 +56,6 @@ from .diagnostics import (
     ErrorRow,
     ErrorTable,
     NormClass,
-    classify_gaussian_packet,
     classify_normalizability,
     truncation_error_table,
     unit_modulus_deviation,
@@ -70,7 +69,6 @@ __all__ = [
     "UnsupportedEquationError",
     "ExpSum",
     "TimePoly",
-    "combine",
     "expsum_diff",
     "tpoly_diff",
     "Equation",
@@ -107,7 +105,6 @@ __all__ = [
     "ErrorRow",
     "ErrorTable",
     "NormClass",
-    "classify_gaussian_packet",
     "classify_normalizability",
     "truncation_error_table",
     "unit_modulus_deviation",

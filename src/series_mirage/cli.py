@@ -12,6 +12,9 @@ Experiments:
 * ``nls-reference`` split-step cubic solver vs the exact plane wave
 * ``classify``      normalizability table for the example initial data
 
+Every parameter is described once, in :data:`PARAMS`; every experiment's
+runner and defaults once, in :data:`EXPERIMENTS`.
+
 Exit codes: 0 success, 1 config error, 2 internal cross-check failure,
 3 numerical overflow or divergence.
 """
@@ -25,15 +28,16 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .csvfmt import fmt_float
+from .csvfmt import format_csv
 from .diagnostics import (
     ErrorRow,
     ErrorTable,
-    classify_gaussian_packet,
+    NormClass,
     classify_normalizability,
     truncation_error_table,
 )
@@ -48,27 +52,16 @@ from .exact import exact_linear, exact_reduced_nls, remainder_closed_form
 from .expsum import MAX_T_DEGREE, ExpSum
 from .grid import (
     Grid,
+    GridState,
     free_propagate_spectral,
     gaussian_packet,
     l2_norm,
     sample,
     split_step_nls,
-    state_to_csv,
     sup_error,
 )
-from .methods import (
-    Equation,
-    adm_series,
-    hpm_series,
-    series_max_term_diff,
-    taylor_series,
-)
-from .operators import (
-    exact_evolve,
-    laplacian_dirichlet,
-    series_evolve,
-)
-from .operators import state_to_csv as vector_to_csv
+from .methods import Equation, adm_series, hpm_series, series_max_term_diff, taylor_series
+from .operators import exact_evolve, laplacian_dirichlet, series_evolve
 
 
 class ConfigError(SeriesMirageError, ValueError):
@@ -89,41 +82,70 @@ _EX1_U0 = ExpSum(((1, 0), (1, 2), (1, -2)))  # 1 + 2cosh(2x)
 _EX2_U0 = ExpSum.single(1, 3j)  # exp(3ix)
 _EX34_U0 = ExpSum.single(1, 1j)  # exp(ix)
 
-_SERIES_EXPERIMENTS = ("example1", "example2", "example3", "example4")
 
-DEFAULTS: dict[str, dict] = {
-    "example1": {
-        "method": "all", "order": 20,
-        "t0": 0.0, "t1": 1.0, "t_steps": 11,
-        "x0": -1.0, "x1": 1.0, "x_steps": 9,
-    },
-    "example2": {
-        "method": "all", "order": 20,
-        "t0": 0.0, "t1": 1.0, "t_steps": 11,
-        "x0": -1.0, "x1": 1.0, "x_steps": 9,
-    },
-    "example3": {
-        "method": "all", "order": 20, "gamma": 2.0,
-        "t0": 0.0, "t1": 2.0, "t_steps": 21,
-        "x0": -1.0, "x1": 1.0, "x_steps": 9,
-    },
-    "example4": {
-        "method": "all", "order": 20, "gamma": -2.0,
-        "t0": 0.0, "t1": 2.0, "t_steps": 21,
-        "x0": -1.0, "x1": 1.0, "x_steps": 9,
-    },
-    "operator": {"order": 40, "grid_n": 16, "h": 1.0, "t1": 1.0},
-    "gaussian-free": {"grid_n": 512, "grid_L": 40.0, "sigma": 0.5, "t1": 1.0},
-    "nls-reference": {
-        "gamma": 2.0, "grid_n": 64, "grid_L": 2.0 * math.pi,
-        "dt": 1e-3, "t1": 1.0, "t_steps": 11,
-    },
-    "classify": {},
-}
+@dataclass(frozen=True)
+class Param:
+    """One run parameter: its type, allowed values and flag spellings.
 
-_INT_KEYS = {"order", "grid_n", "t_steps", "x_steps"}
-_FLOAT_KEYS = {"gamma", "grid_L", "h", "sigma", "dt", "t0", "t1", "x0", "x1"}
-_STR_KEYS = {"method"}
+    A number must be finite, not a boolean, and lie in [lo, hi], with lo
+    excluded when ``lo_open``; a string must be one of ``choices``.  An empty
+    ``flags`` means the key can only be set from a config file.
+    """
+
+    key: str
+    type: type
+    flags: tuple[str, ...] = ()
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+    choices: tuple[str, ...] = ()
+
+    @property
+    def rule(self) -> str:
+        if self.choices:
+            return "one of " + ", ".join(self.choices)
+        rule = "an integer" if self.type is int else "a finite number"
+        if self.hi < math.inf:
+            return f"{rule} in {'(' if self.lo_open else '['}{self.lo}, {self.hi}]"
+        if self.lo > -math.inf:
+            return f"{rule} {'>' if self.lo_open else '>='} {self.lo}"
+        return rule
+
+    def coerce(self, value):
+        """Convert a flag string or config-file value, or raise ConfigError."""
+        try:
+            v = self.type(value)
+            if self.choices:
+                ok = v in self.choices
+            else:
+                # int() truncates 7.5 and int()/float() accept booleans: reject both
+                exact = v == float(value) if self.type is int else math.isfinite(v)
+                in_range = self.lo < v <= self.hi or (v == self.lo and not self.lo_open)
+                ok = exact and in_range and not isinstance(value, bool)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{self.key} must be {self.rule}, got {value!r}")
+        return v
+
+
+PARAMS: dict[str, Param] = {p.key: p for p in (
+    Param("method", str, ("--method",), choices=("hpm", "adm", "taylor", "all")),
+    Param("order", int, ("--order",), lo=0, hi=MAX_T_DEGREE),
+    Param("gamma", float, ("--gamma",)),
+    # grid experiments also need a power of two >= 8, which Grid enforces
+    Param("grid_n", int, ("--grid-n", "--n"), lo=2),
+    Param("grid_L", float, ("--grid-L", "--L"), lo=0, lo_open=True),
+    Param("t0", float, ("--t0",)),
+    Param("t1", float, ("--t1", "--t")),
+    Param("t_steps", int, ("--t-steps",), lo=1),
+    Param("dt", float, ("--dt",), lo=0, lo_open=True),
+    Param("h", float, lo=0, lo_open=True),
+    Param("sigma", float, lo=0, lo_open=True),
+    Param("x0", float),
+    Param("x1", float),
+    Param("x_steps", int, lo=1),
+)}
 
 
 @dataclass(frozen=True)
@@ -135,55 +157,18 @@ class ExperimentConfig:
     params: tuple[tuple[str, object], ...]
 
     def __getitem__(self, key: str):
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-    def manifest_dict(self) -> dict:
-        d = {"experiment": self.experiment, "out": str(self.out)}
-        d.update({k: v for k, v in self.params})
-        return d
+        return dict(self.params)[key]
 
 
-def _coerce(key: str, value):
-    try:
-        if key in _INT_KEYS:
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise ValueError("not an integer")
-            return int(value)
-        if key in _FLOAT_KEYS:
-            v = float(value)
-            if not math.isfinite(v):
-                raise ValueError("not finite")
-            return v
-        if key in _STR_KEYS:
-            return str(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for '{key}': {value!r} ({exc})") from exc
-    raise ConfigError(f"unknown config key '{key}'")
-
-
-def _validate(experiment: str, params: dict) -> None:
-    if "method" in params and params["method"] not in ("hpm", "adm", "taylor", "all"):
-        raise ConfigError(f"method must be hpm, adm, taylor or all, got {params['method']!r}")
-    if "order" in params and not 0 <= params["order"] <= MAX_T_DEGREE:
-        raise ConfigError(f"order must lie in [0, {MAX_T_DEGREE}], got {params['order']}")
-    if "t_steps" in params and params["t_steps"] < 1:
-        raise ConfigError(f"t_steps must be >= 1, got {params['t_steps']}")
-    if "x_steps" in params and params["x_steps"] < 1:
-        raise ConfigError(f"x_steps must be >= 1, got {params['x_steps']}")
-    if "t0" in params and "t1" in params and params["t1"] < params["t0"]:
+def _check_cross_keys(experiment: str, params: dict) -> None:
+    """The rules that tie keys together; single-key ranges live in PARAMS."""
+    if "t0" in params and params["t1"] < params["t0"]:
         raise ConfigError("t1 must be >= t0")
-    for key in ("grid_L", "h", "sigma", "dt"):
-        if key in params and params[key] <= 0:
-            raise ConfigError(f"{key} must be positive, got {params[key]}")
-    n = params.get("grid_n")
-    if experiment in ("gaussian-free", "nls-reference"):
-        if n < 8 or n & (n - 1):
-            raise ConfigError(f"grid_n must be a power of two >= 8, got {n}")
-    if experiment == "operator" and n < 2:
-        raise ConfigError(f"grid_n (operator dimension) must be >= 2, got {n}")
+    if "grid_L" in params:
+        try:
+            Grid(params["grid_L"], params["grid_n"])
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from exc
     if experiment == "nls-reference":
         # the sampled plane wave exp(ix) must fit the periodic box exactly
         ratio = params["grid_L"] / (2.0 * math.pi)
@@ -194,6 +179,10 @@ def _validate(experiment: str, params: dict) -> None:
             )
         if params["dt"] > params["t1"]:
             raise ConfigError("dt must not exceed t1")
+        if params["t_steps"] < 2:
+            raise ConfigError(
+                f"t_steps must be >= 2 so the checkpoints reach t1, got {params['t_steps']}"
+            )
 
 
 def parse_config(
@@ -207,11 +196,12 @@ def parse_config(
     Flag overrides win over the file, which wins over the defaults.  Keys not
     used by the chosen experiment are rejected with a descriptive error.
     """
-    if experiment not in DEFAULTS:
+    if experiment not in EXPERIMENTS:
         raise ConfigError(
-            f"unknown experiment {experiment!r}; choose from {', '.join(DEFAULTS)}"
+            f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
         )
-    params = dict(DEFAULTS[experiment])
+    params = dict(EXPERIMENTS[experiment].defaults)
+    settings = []  # (source, key, value); flags come last so they win
     if config_file is not None:
         try:
             raw = json.loads(Path(config_file).read_text(encoding="utf-8"))
@@ -221,31 +211,25 @@ def parse_config(
             raise ConfigError(f"config file {config_file} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key, value in raw.items():
-            if key == "experiment":
-                if value != experiment:
-                    raise ConfigError(
-                        f"config file is for experiment {value!r}, not {experiment!r}"
-                    )
-                continue
-            if key == "out":
-                if out is None:
-                    out = str(value)
-                continue
-            if key not in params:
-                raise ConfigError(
-                    f"config key '{key}' is unknown or not used by experiment {experiment}"
-                )
-            params[key] = _coerce(key, value)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in params:
+        file_experiment = raw.pop("experiment", experiment)
+        if file_experiment != experiment:
             raise ConfigError(
-                f"flag --{key.replace('_', '-')} is not used by experiment {experiment}"
+                f"config file is for experiment {file_experiment!r}, not {experiment!r}"
             )
-        params[key] = _coerce(key, value)
-    _validate(experiment, params)
+        file_out = raw.pop("out", None)
+        if out is None and file_out is not None:
+            out = str(file_out)
+        settings += [(f"config key '{key}'", key, value) for key, value in raw.items()]
+    settings += [
+        (f"flag --{key.replace('_', '-')}", key, value)
+        for key, value in (overrides or {}).items()
+        if value is not None
+    ]
+    for source, key, value in settings:
+        if key not in params:
+            raise ConfigError(f"{source} is unknown or not used by experiment {experiment}")
+        params[key] = PARAMS[key].coerce(value)
+    _check_cross_keys(experiment, params)
     out_dir = Path(out) if out is not None else Path(
         os.environ.get(ENV_OUT, DEFAULT_OUT)
     )
@@ -258,33 +242,45 @@ def _linspace(a: float, b: float, n: int) -> list[float]:
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
-def _write(out: Path, name: str, text: str) -> Path:
+def _write(out: Path, name: str, text: str) -> None:
     path = out / name
-    path.write_text(text, encoding="utf-8", newline="")
-    return path
+    try:
+        path.write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _terms_csv(solutions: dict) -> str:
-    lines = ["method,term,t_power,re_coeff,im_coeff,re_alpha,im_alpha"]
-    for name, sol in solutions.items():
-        for n, poly in enumerate(sol.terms):
-            for p, coeff in enumerate(poly.coeffs):
-                for c, a in coeff.terms:
-                    lines.append(
-                        f"{name},{n},{p},{fmt_float(c.real)},{fmt_float(c.imag)},"
-                        f"{fmt_float(a.real)},{fmt_float(a.imag)}"
-                    )
-    return "\n".join(lines) + "\n"
+    return format_csv(
+        ("method", "term", "t_power", "re_coeff", "im_coeff", "re_alpha", "im_alpha"),
+        (
+            (name, n, p, c.real, c.imag, a.real, a.imag)
+            for name, sol in solutions.items()
+            for n, poly in enumerate(sol.terms)
+            for p, coeff in enumerate(poly.coeffs)
+            for c, a in coeff.terms
+        ),
+    )
+
+
+def _grid_state_csv(state: GridState) -> str:
+    # scalar abs: numpy's vectorised abs can differ in the last bit
+    return format_csv(
+        ("x", "re_u", "im_u", "abs_u"),
+        ((x, z.real, z.imag, abs(z)) for x, z in zip(state.grid.points, state.values)),
+        comment={"L": state.grid.length, "n": state.grid.n, "time": state.time},
+    )
+
+
+def _vector_csv(v: np.ndarray) -> str:
+    return format_csv(("index", "re", "im"), ((i, z.real, z.imag) for i, z in enumerate(v)))
 
 
 def _run_series(cfg: ExperimentConfig, out: Path) -> list[str]:
-    exp = cfg.experiment
-    if exp == "example1":
-        u0, exact = _EX1_U0, exact_linear(_EX1_U0)
-        eq_for = {m: Equation.linear() for m in ("hpm", "adm", "taylor")}
-    elif exp == "example2":
-        u0, exact = _EX2_U0, exact_linear(_EX2_U0)
-        eq_for = {m: Equation.linear() for m in ("hpm", "adm", "taylor")}
+    if cfg.experiment in ("example1", "example2"):
+        u0 = _EX1_U0 if cfg.experiment == "example1" else _EX2_U0
+        exact = exact_linear(u0)
+        eq_for = dict.fromkeys(("hpm", "adm", "taylor"), Equation.linear())
     else:
         gamma = cfg["gamma"]
         u0, exact = _EX34_U0, exact_reduced_nls(1.0, gamma)
@@ -333,7 +329,7 @@ def _run_operator(cfg: ExperimentConfig, out: Path) -> list[str]:
         err = float(np.linalg.norm(approx - exact))
         rows.append(ErrorRow(order, t, err, remainder_closed_form(rho, 1.0, order, t)))
     _write(out, "errors.csv", ErrorTable(tuple(rows)).to_csv())
-    _write(out, "state.csv", vector_to_csv(exact))
+    _write(out, "state.csv", _vector_csv(exact))
     return ["errors.csv", "state.csv"]
 
 
@@ -344,7 +340,7 @@ def _run_gaussian_free(cfg: ExperimentConfig, out: Path) -> list[str]:
     drift = abs(l2_norm(state) - l2_norm(state0))
     if drift > 1e-10:
         raise CrossCheckError(f"free propagation changed the L2 norm by {drift:.3e}")
-    _write(out, "state.csv", state_to_csv(state))
+    _write(out, "state.csv", _grid_state_csv(state))
     return ["state.csv"]
 
 
@@ -363,7 +359,7 @@ def _run_nls_reference(cfg: ExperimentConfig, out: Path) -> list[str]:
         reference = sample(grid, lambda x: exact(x, now))
         rows.append(ErrorRow(total_steps, now, sup_error(state, reference), None))
     _write(out, "errors.csv", ErrorTable(tuple(rows)).to_csv())
-    _write(out, "state.csv", state_to_csv(state))
+    _write(out, "state.csv", _grid_state_csv(state))
     return ["errors.csv", "state.csv"]
 
 
@@ -374,34 +370,61 @@ def _run_classify(cfg: ExperimentConfig, out: Path) -> list[str]:
         ("example3", "exp(ix)", classify_normalizability(_EX34_U0)),
         ("example4", "exp(ix)", classify_normalizability(_EX34_U0)),
         ("zero", "0", classify_normalizability(ExpSum.zero())),
-        ("gaussian-packet", "unit-norm gaussian (grid family)", classify_gaussian_packet()),
+        # outside the exponential sums: square integrable by construction
+        ("gaussian-packet", "unit-norm gaussian (grid family)", NormClass.SQUARE_INTEGRABLE),
     ]
-    lines = ["label,input,norm_class"]
-    lines += [f"{label},{desc},{cls.value}" for label, desc, cls in rows]
-    _write(out, "classification.csv", "\n".join(lines) + "\n")
+    _write(out, "classification.csv", format_csv(
+        ("label", "input", "norm_class"),
+        ((label, desc, cls.value) for label, desc, cls in rows),
+    ))
     return ["classification.csv"]
 
 
-_RUNNERS = {
-    "example1": _run_series,
-    "example2": _run_series,
-    "example3": _run_series,
-    "example4": _run_series,
-    "operator": _run_operator,
-    "gaussian-free": _run_gaussian_free,
-    "nls-reference": _run_nls_reference,
-    "classify": _run_classify,
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment's runner and the keys it takes, with their defaults."""
+
+    run: Callable[[ExperimentConfig, Path], list[str]]
+    defaults: dict
+
+
+_SERIES_DEFAULTS = {
+    "method": "all", "order": 20,
+    "t0": 0.0, "t1": 1.0, "t_steps": 11,
+    "x0": -1.0, "x1": 1.0, "x_steps": 9,
+}
+
+_CUBIC_DEFAULTS = {**_SERIES_DEFAULTS, "t1": 2.0, "t_steps": 21}
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "example1": Experiment(_run_series, _SERIES_DEFAULTS),
+    "example2": Experiment(_run_series, _SERIES_DEFAULTS),
+    "example3": Experiment(_run_series, {**_CUBIC_DEFAULTS, "gamma": 2.0}),
+    "example4": Experiment(_run_series, {**_CUBIC_DEFAULTS, "gamma": -2.0}),
+    "operator": Experiment(_run_operator, {"order": 40, "grid_n": 16, "h": 1.0, "t1": 1.0}),
+    "gaussian-free": Experiment(
+        _run_gaussian_free, {"grid_n": 512, "grid_L": 40.0, "sigma": 0.5, "t1": 1.0}
+    ),
+    "nls-reference": Experiment(_run_nls_reference, {
+        "gamma": 2.0, "grid_n": 64, "grid_L": 2.0 * math.pi,
+        "dt": 1e-3, "t1": 1.0, "t_steps": 11,
+    }),
+    "classify": Experiment(_run_classify, {}),
 }
 
 
 def run(cfg: ExperimentConfig) -> list[Path]:
     """Execute one experiment, returning the paths of all files written."""
     out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = _RUNNERS[cfg.experiment](cfg, out)
-    manifest = cfg.manifest_dict()
-    manifest["outputs"] = sorted(outputs)
-    manifest["version"] = __version__
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    outputs = EXPERIMENTS[cfg.experiment].run(cfg, out)
+    manifest = {
+        "experiment": cfg.experiment, "out": str(out), **dict(cfg.params),
+        "outputs": sorted(outputs), "version": __version__,
+    }
     _write(out, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return [out / "manifest.json"] + [out / name for name in outputs]
 
@@ -417,16 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="series-mirage",
         description="Reproduce the worked series examples and reference checks.",
     )
-    p.add_argument("experiment", choices=sorted(DEFAULTS))
-    p.add_argument("--method", choices=("hpm", "adm", "taylor", "all"))
-    p.add_argument("--order", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--grid-n", "--n", dest="grid_n", type=int)
-    p.add_argument("--grid-L", "--L", dest="grid_L", type=float)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t1", "--t", dest="t1", type=float)
-    p.add_argument("--t-steps", dest="t_steps", type=int)
-    p.add_argument("--dt", type=float)
+    p.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    for param in PARAMS.values():
+        if param.flags:
+            p.add_argument(*param.flags, dest=param.key, help=param.rule)
     p.add_argument("--out")
     p.add_argument("--config")
     return p
@@ -436,11 +453,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides = {
-            key: getattr(args, key)
-            for key in ("method", "order", "gamma", "grid_n", "grid_L",
-                        "t0", "t1", "t_steps", "dt")
-        }
+        overrides = {key: getattr(args, key) for key, p in PARAMS.items() if p.flags}
         cfg = parse_config(args.experiment, args.config, overrides, args.out)
         files = run(cfg)
     except (ConfigError, InvalidInputError, UnsupportedEquationError) as exc:

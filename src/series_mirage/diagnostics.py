@@ -7,8 +7,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .csvfmt import format_csv
 from .errors import EvaluationOverflowError, InvalidInputError
-from .csvfmt import fmt_float
 from .exact import ExactEvaluator, remainder_closed_form
 from .expsum import ExpSum
 from .methods import EquationKind, SeriesSolution, partial_sum_eval
@@ -34,23 +34,14 @@ def classify_normalizability(u0: ExpSum) -> NormClass:
     sum of pure plane waves is bounded but its |u|^2 integral over the line
     diverges, hence BOUNDED_NOT_L2.  No nonzero finite exponential sum is in
     L2 of the line, so SQUARE_INTEGRABLE is never returned here; it is
-    reserved for the sampled Gaussian family (see
-    :func:`classify_gaussian_packet`).
+    reserved for the sampled Gaussian family, which lies outside the
+    exponential sums and is square integrable by construction.
     """
     if u0.is_zero:
         return NormClass.ZERO
     if any(abs(a.real) > REAL_EXPONENT_TOL for _, a in u0.terms):
         return NormClass.UNBOUNDED
     return NormClass.BOUNDED_NOT_L2
-
-
-def classify_gaussian_packet() -> NormClass:
-    """Class of the grid-only Gaussian packet family: square-integrable.
-
-    Gaussians are outside the exponential-sum family, so their class is fixed
-    by construction rather than inferred from exponents.
-    """
-    return NormClass.SQUARE_INTEGRABLE
 
 
 @dataclass(frozen=True)
@@ -78,13 +69,11 @@ class ErrorTable:
         object.__setattr__(self, "rows", rows)
 
     def to_csv(self) -> str:
-        lines = ["order,time,sup_error,bound"]
-        for r in self.rows:
-            bound = "" if r.bound is None else fmt_float(r.bound)
-            lines.append(
-                f"{r.order},{fmt_float(r.time)},{fmt_float(r.sup_error)},{bound}"
-            )
-        return "\n".join(lines) + "\n"
+        """Columns order, time, sup_error, bound; an undefined bound is empty."""
+        return format_csv(
+            ("order", "time", "sup_error", "bound"),
+            ((r.order, r.time, r.sup_error, r.bound) for r in self.rows),
+        )
 
 
 def _tail_bound_params(sol: SeriesSolution, x_samples) -> tuple[float, float] | None:

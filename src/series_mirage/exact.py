@@ -16,8 +16,6 @@ from .methods import Equation
 class ExactEvaluator:
     """A closed-form solution u(x, t), tagged with the PDEs it satisfies."""
 
-    family: str
-    params: tuple[tuple[str, object], ...]
     equations: tuple[Equation, ...]
     fn: Callable[[float, float], complex] = field(repr=False, compare=False)
 
@@ -52,12 +50,7 @@ def exact_linear(u0: ExpSum) -> ExactEvaluator:
             raise EvaluationOverflowError(f"non-finite evaluation at x={x!r}, t={t!r}")
         return total
 
-    return ExactEvaluator(
-        family="linear-expsum",
-        params=(("initial", u0),),
-        equations=(Equation.linear(),),
-        fn=fn,
-    )
+    return ExactEvaluator(equations=(Equation.linear(),), fn=fn)
 
 
 def exact_reduced_nls(alpha: float, gamma: float) -> ExactEvaluator:
@@ -81,8 +74,6 @@ def exact_reduced_nls(alpha: float, gamma: float) -> ExactEvaluator:
         return cmath.exp(1j * (alpha * x + omega * t))
 
     return ExactEvaluator(
-        family="nls-plane-wave",
-        params=(("alpha", alpha), ("gamma", gamma)),
         equations=(Equation.reduced_nls(gamma), Equation.full_nls(gamma)),
         fn=fn,
     )
@@ -97,7 +88,8 @@ def remainder_closed_form(b: float, amplitude: float, order: int, t: float) -> f
 
     the standard remainder estimate for the exponential series.  The power
     and factorial are folded together as a running product of |bt|/k factors
-    so large orders cannot overflow.
+    so large orders cannot overflow; a bound that leaves the double range
+    (e^{|bt|} alone does past |bt| ~ 709) raises EvaluationOverflowError.
     """
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise InvalidInputError(f"order must be a nonnegative integer, got {order!r}")
@@ -106,7 +98,14 @@ def remainder_closed_form(b: float, amplitude: float, order: int, t: float) -> f
     if not (math.isfinite(t) and t >= 0):
         raise InvalidInputError(f"t must be finite and nonnegative, got {t!r}")
     z = abs(b * t)
-    tail = amplitude * math.exp(z)
+    try:
+        tail = amplitude * math.exp(z)
+    except OverflowError as exc:
+        raise EvaluationOverflowError(f"tail bound overflows: e^{z!r}") from exc
     for k in range(1, order + 2):
         tail *= z / k
+    if not math.isfinite(tail):
+        raise EvaluationOverflowError(
+            f"tail bound is not finite for |bt|={z!r}, amplitude={amplitude!r}, order={order}"
+        )
     return tail

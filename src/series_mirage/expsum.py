@@ -179,11 +179,6 @@ class ExpSum:
         return cls(terms)
 
 
-def combine(a: ExpSum, ca, b: ExpSum, cb) -> ExpSum:
-    """Canonical linear combination ``ca*a + cb*b``."""
-    return a * ca + b * cb
-
-
 def expsum_diff(a: ExpSum, b: ExpSum) -> float:
     """Largest coefficient magnitude of ``a - b`` after exponent alignment."""
     return max((abs(c) for c, _ in (a - b).terms), default=0.0)

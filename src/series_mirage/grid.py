@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .csvfmt import fmt_float
 from .errors import DivergenceError, InvalidInputError
 
 
@@ -162,16 +161,3 @@ def gaussian_packet(center: float, sigma: float) -> Callable[[float], complex]:
         return complex(norm * math.exp(-((x - center) ** 2) / denom))
 
     return f
-
-
-def state_to_csv(state: GridState) -> str:
-    """CSV with columns x, re_u, im_u, abs_u; a comment line carries the grid."""
-    lines = [
-        f"# L={fmt_float(state.grid.length)} n={state.grid.n} time={fmt_float(state.time)}",
-        "x,re_u,im_u,abs_u",
-    ]
-    for x, v in zip(state.grid.points, state.values):
-        lines.append(
-            f"{fmt_float(x)},{fmt_float(v.real)},{fmt_float(v.imag)},{fmt_float(abs(v))}"
-        )
-    return "\n".join(lines) + "\n"

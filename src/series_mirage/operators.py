@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .csvfmt import fmt_float
 from .errors import EvaluationOverflowError, InvalidInputError
 from .expsum import MAX_T_DEGREE
 
@@ -149,12 +148,3 @@ def exact_evolve(op: OperatorSpec, u0, t: float) -> np.ndarray:
         raise InvalidInputError(f"time must be finite, got {t!r}")
     c = eigen_project(op, u0)
     return op.eigenvectors @ (np.exp(-1j * t * op.eigenvalues) * c)
-
-
-def state_to_csv(values) -> str:
-    """CSV with columns index, re, im for a complex state vector."""
-    v = np.asarray(values, dtype=np.complex128)
-    lines = ["index,re,im"]
-    for i, z in enumerate(v):
-        lines.append(f"{i},{fmt_float(z.real)},{fmt_float(z.imag)}")
-    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from series_mirage.cli import main
-from series_mirage.diagnostics import NormClass, classify_gaussian_packet, classify_normalizability
+from series_mirage.diagnostics import NormClass, classify_normalizability
 from series_mirage.exact import exact_linear, exact_reduced_nls, remainder_closed_form
 from series_mirage.expsum import ExpSum, expsum_diff
 from series_mirage.grid import (
@@ -283,13 +283,16 @@ def test_criterion_6_operator_series_convergence():
     assert bound_gap <= FLOAT_SLACK
 
 
-def test_criterion_7_physicality_audit():
+def test_criterion_7_physicality_audit(tmp_path):
     """Classifier separates the example data; the grid Gaussian is physical."""
+    assert main(["classify", "--out", str(tmp_path)]) == 0
+    class_rows = (tmp_path / "classification.csv").read_text().splitlines()
     checks = {
         "cosh data": classify_normalizability(COSH_SUM) is NormClass.UNBOUNDED,
         "exp(3ix)": classify_normalizability(PLANE_3) is NormClass.BOUNDED_NOT_L2,
         "exp(ix)": classify_normalizability(PLANE_1) is NormClass.BOUNDED_NOT_L2,
-        "gaussian tag": classify_gaussian_packet() is NormClass.SQUARE_INTEGRABLE,
+        "gaussian tag": "gaussian-packet,unit-norm gaussian (grid family),"
+        f"{NormClass.SQUARE_INTEGRABLE.value}" in class_rows,
     }
     grid = Grid(40.0, 512)
     norm = l2_norm(sample(grid, gaussian_packet(20.0, 0.5)))

@@ -63,11 +63,58 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("example3", config_file=f)
 
+    @pytest.mark.parametrize("key", ["gamma", "order"])
+    def test_numeric_keys_reject_booleans(self, tmp_path, key):
+        f = tmp_path / "run.json"
+        f.write_text(json.dumps({key: True}))
+        with pytest.raises(ConfigError):
+            parse_config("example3", config_file=f)
+
+    def test_nls_reference_needs_two_checkpoints(self):
+        with pytest.raises(ConfigError):
+            parse_config("nls-reference", overrides={"t_steps": 1})
+        assert parse_config("nls-reference", overrides={"t_steps": 2})["t_steps"] == 2
+
     def test_nls_domain_must_fit_plane_wave(self):
         with pytest.raises(ConfigError):
             parse_config("nls-reference", overrides={"grid_L": 7.0})
         cfg = parse_config("nls-reference", overrides={"grid_L": 4 * math.pi, "grid_n": 128})
         assert cfg["grid_L"] == pytest.approx(4 * math.pi)
+
+
+class TestParamTable:
+    def test_every_flag_maps_to_one_entry(self):
+        parser = cli.build_parser()
+        flags = {
+            flag
+            for action in parser._actions
+            for flag in action.option_strings
+            if action.dest not in ("help", "out", "config")
+        }
+        assert flags == {
+            "--method", "--order", "--gamma", "--grid-n", "--n", "--grid-L", "--L",
+            "--t0", "--t1", "--t", "--t-steps", "--dt",
+        }
+        for flag in flags:
+            owners = [p.key for p in cli.PARAMS.values() if flag in p.flags]
+            assert len(owners) == 1, (flag, owners)
+
+    def test_defaults_are_table_keys_within_range(self):
+        for name, experiment in cli.EXPERIMENTS.items():
+            for key, value in experiment.defaults.items():
+                assert cli.PARAMS[key].coerce(value) == value, (name, key)
+
+    def test_flag_strings_and_file_values_coerce_alike(self):
+        order = cli.PARAMS["order"]
+        assert order.coerce("7") == order.coerce(7) == order.coerce(7.0) == 7
+        for bad in ("7.5", 7.5, "x", None, True, 65, -1):
+            with pytest.raises(ConfigError):
+                order.coerce(bad)
+        grid_L = cli.PARAMS["grid_L"]
+        assert grid_L.coerce("2.5") == 2.5
+        for bad in ("nan", float("inf"), 0.0, -1.0, False):
+            with pytest.raises(ConfigError):
+                grid_L.coerce(bad)
 
 
 class TestMainExitCodes:
@@ -86,6 +133,43 @@ class TestMainExitCodes:
     def test_unknown_flag_exits_one(self, capsys):
         rc = main(["example1", "--frobnicate"])
         assert rc == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["nls-reference", "--grid-n", "48"], None),
+            (["nls-reference", "--grid-L", "7"], None),
+            (["nls-reference", "--t-steps", "1"], None),
+            (["example1", "--order", "2.5"], None),
+            (["example3", "--gamma", "nan"], None),
+            (["gaussian-free", "--n", "4"], None),
+            (["operator", "--n", "1"], None),
+            (["example3"], {"mystery": 1}),
+            (["example3"], {"gamma": True}),
+            (["gaussian-free"], {"sigma": 0}),
+        ],
+    )
+    def test_config_errors_exit_one(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            f = tmp_path / "run.json"
+            f.write_text(json.dumps(config))
+            argv = argv + ["--config", str(f)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_under_regular_file_exits_one(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["classify", "--out", str(blocker / sub)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_unwritable_output_file_exits_one(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").mkdir()
+        assert main(["classify", "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_cross_check_failure_exits_two(self, tmp_path, monkeypatch, capsys):
         def corrupted(u0, eq, order):
@@ -94,7 +178,10 @@ class TestMainExitCodes:
             broken[1] = broken[1] * 2.0
             return type(sol)(tuple(broken), sol.equation, sol.method)
 
-        monkeypatch.setitem(cli._RUNNERS, "example2", cli._run_series)
+        monkeypatch.setitem(
+            cli.EXPERIMENTS, "example2",
+            cli.Experiment(cli._run_series, cli.EXPERIMENTS["example2"].defaults),
+        )
         monkeypatch.setattr(cli, "adm_series", corrupted)
         rc = main(["example2", "--order", "4", "--out", str(tmp_path)])
         assert rc == 2
@@ -107,6 +194,13 @@ class TestMainExitCodes:
         monkeypatch.setattr(cli, "split_step_nls", blow_up)
         rc = main(["nls-reference", "--out", str(tmp_path)])
         assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["example1", "--t1", "200"], ["operator", "--t", "800"]]
+    )
+    def test_tail_bound_overflow_exits_three(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
 

@@ -5,11 +5,11 @@ import math
 
 import pytest
 
+from series_mirage.cli import main
 from series_mirage.diagnostics import (
     ErrorRow,
     ErrorTable,
     NormClass,
-    classify_gaussian_packet,
     classify_normalizability,
     truncation_error_table,
     unit_modulus_deviation,
@@ -55,8 +55,13 @@ class TestClassifier:
         u0 = ExpSum(((1, 1j), (1e-3, 0.5)))
         assert classify_normalizability(u0) is NormClass.UNBOUNDED
 
-    def test_gaussian_tagged_square_integrable(self):
-        assert classify_gaussian_packet() is NormClass.SQUARE_INTEGRABLE
+    def test_gaussian_tagged_square_integrable(self, tmp_path):
+        assert main(["classify", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "classification.csv").read_text().splitlines()
+        assert (
+            f"gaussian-packet,unit-norm gaussian (grid family),{NormClass.SQUARE_INTEGRABLE.value}"
+            in rows
+        )
 
 
 class TestErrorTable:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from series_mirage.errors import InvalidInputError
+from series_mirage.errors import EvaluationOverflowError, InvalidInputError
 from series_mirage.exact import exact_linear, exact_reduced_nls, remainder_closed_form
 from series_mirage.expsum import ExpSum
 from series_mirage.methods import (
@@ -135,6 +135,16 @@ class TestRemainderBound:
     def test_large_order_no_overflow(self):
         assert remainder_closed_form(9, 1, 64, 0.5) < 1e-30
         assert math.isfinite(remainder_closed_form(9, 1, 64, 2.0))
+
+    def test_overflow_raises(self):
+        # e^{|bt|} overflows past |bt| ~ 709.8; the product can overflow later
+        assert math.isfinite(remainder_closed_form(1.0, 1.0, 0, 700.0))
+        with pytest.raises(EvaluationOverflowError):
+            remainder_closed_form(4.0, 1.0, 20, 200.0)
+        with pytest.raises(EvaluationOverflowError):
+            remainder_closed_form(1.0, 1.0, 40, 700.0)
+        with pytest.raises(EvaluationOverflowError):
+            remainder_closed_form(1.0, 1e300, 0, 100.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInputError):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from series_mirage import cli
 from series_mirage.errors import DivergenceError, InvalidInputError
 from series_mirage.exact import exact_linear, exact_reduced_nls, remainder_closed_form
 from series_mirage.expsum import ExpSum
@@ -18,7 +19,6 @@ from series_mirage.grid import (
     sample,
     spectral_dxx,
     split_step_nls,
-    state_to_csv,
     sup_error,
 )
 from series_mirage.methods import Equation, adm_series, partial_sum_eval
@@ -223,7 +223,7 @@ class TestNorms:
 class TestCsvExport:
     def test_header_carries_grid_parameters(self, small_grid):
         st = sample(small_grid, plane_wave(1))
-        text = state_to_csv(st)
+        text = cli._grid_state_csv(st)
         lines = text.splitlines()
         assert lines[0] == "# L=6.283185307179586 n=64 time=0.0"
         assert lines[1] == "x,re_u,im_u,abs_u"

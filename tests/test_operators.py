@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from series_mirage import cli
 from series_mirage.errors import EvaluationOverflowError, InvalidInputError
 from series_mirage.exact import remainder_closed_form
 from series_mirage.operators import (
@@ -15,7 +16,6 @@ from series_mirage.operators import (
     exact_evolve,
     laplacian_dirichlet,
     series_evolve,
-    state_to_csv,
 )
 
 FLOAT_SLACK = 1e-13
@@ -189,5 +189,5 @@ class TestDiagonalOperator:
 
 class TestCsvExport:
     def test_format(self):
-        text = state_to_csv(np.array([1 + 2j, -0.5j]))
+        text = cli._vector_csv(np.array([1 + 2j, -0.5j]))
         assert text.splitlines() == ["index,re,im", "0,1.0,2.0", "1,-0.0,-0.5"]
