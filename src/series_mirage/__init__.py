@@ -27,7 +27,6 @@ from .methods import (
     adomian_cubic,
     hpm_series,
     partial_sum_eval,
-    partial_sum_fn,
     series_max_term_diff,
     series_residual,
     taylor_series,
@@ -79,7 +78,6 @@ __all__ = [
     "adomian_cubic",
     "hpm_series",
     "partial_sum_eval",
-    "partial_sum_fn",
     "series_max_term_diff",
     "series_residual",
     "taylor_series",

@@ -75,6 +75,9 @@ class CrossCheckError(SeriesMirageError, AssertionError):
 #: methods must agree to this coefficientwise tolerance or the run aborts
 CROSS_CHECK_TOL = 1e-12
 
+#: largest ``operator`` size; laplacian_dirichlet builds dense n x n arrays (165 MiB at 2048)
+MAX_OPERATOR_N = 2048
+
 ENV_OUT = "SERIES_MIRAGE_OUT"
 DEFAULT_OUT = "series-mirage-out"
 
@@ -169,6 +172,8 @@ def _check_cross_keys(experiment: str, params: dict) -> None:
             Grid(params["grid_L"], params["grid_n"])
         except InvalidInputError as exc:
             raise ConfigError(str(exc)) from exc
+    if experiment == "operator" and params["grid_n"] > MAX_OPERATOR_N:
+        raise ConfigError(f"grid_n must be <= {MAX_OPERATOR_N}, got {params['grid_n']}")
     if experiment == "nls-reference":
         # the sampled plane wave exp(ix) must fit the periodic box exactly
         ratio = params["grid_L"] / (2.0 * math.pi)

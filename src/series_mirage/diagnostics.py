@@ -112,14 +112,17 @@ def _tail_bound_params(sol: SeriesSolution, x_samples) -> tuple[float, float] | 
     b = nonzero[0]
     if any(abs(other - b) > REAL_EXPONENT_TOL for other in nonzero):
         return None
-    amplitude = max(
-        sum(
-            abs(c) * math.exp(a.real * x)
-            for (c, a), bj in zip(u0.terms, freqs)
-            if abs(bj - b) <= REAL_EXPONENT_TOL
+    try:
+        amplitude = max(
+            sum(
+                abs(c) * math.exp(a.real * x)
+                for (c, a), bj in zip(u0.terms, freqs)
+                if abs(bj - b) <= REAL_EXPONENT_TOL
+            )
+            for x in x_samples
         )
-        for x in x_samples
-    )
+    except OverflowError as exc:
+        raise EvaluationOverflowError(f"tail-bound amplitude overflows: {exc}") from exc
     return (abs(b), amplitude)
 
 
@@ -133,9 +136,11 @@ def truncation_error_table(
     """Sup error of each partial sum against the exact solution.
 
     For every requested (order, time) the error is the maximum over the x
-    samples of |partial sum - exact|.  When the solution's time dependence is
-    a single exponential e^{ibt} the bound column carries the factorial tail
-    estimate from :func:`remainder_closed_form`; otherwise it is left empty.
+    samples of |partial sum - exact|; the exact solution is evaluated once
+    per (time, x) and shared by all orders.  When the solution's time
+    dependence is a single exponential e^{ibt} the bound column carries the
+    factorial tail estimate from :func:`remainder_closed_form`; otherwise it
+    is left empty.
     """
     orders = sorted(set(int(n) for n in orders))
     times = sorted(float(t) for t in times)
@@ -148,18 +153,23 @@ def truncation_error_table(
         )
     params = _tail_bound_params(sol, xs)
     rows = []
-    for n in orders:
-        for t in times:
+    for t in times:
+        try:
+            reference = [exact(x, t) for x in xs]
+        except EvaluationOverflowError as exc:
+            raise EvaluationOverflowError(
+                f"overflow in the exact solution at t={t!r}: {exc}"
+            ) from exc
+        for n in orders:
             try:
-                err = max(abs(partial_sum_eval(sol, n, x, t) - exact(x, t)) for x in xs)
+                err = max(
+                    abs(partial_sum_eval(sol, n, x, t) - ref) for x, ref in zip(xs, reference)
+                )
             except EvaluationOverflowError as exc:
                 raise EvaluationOverflowError(
                     f"overflow in error-table row order={n}, t={t!r}: {exc}"
                 ) from exc
-            bound = None
-            if params is not None:
-                b, amplitude = params
-                bound = remainder_closed_form(b, amplitude, n, t)
+            bound = None if params is None else remainder_closed_form(*params, n, t)
             rows.append(ErrorRow(n, t, err, bound))
     return ErrorTable(tuple(rows))
 

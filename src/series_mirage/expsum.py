@@ -7,10 +7,8 @@ quantity the series recursions in this package produce stays inside it and is
 represented exactly (up to float rounding of the coefficients).
 
 ``TimePoly`` is a polynomial in a real time variable t whose coefficients are
-``ExpSum`` values.  It adds d/dt and the definite integral from 0 to t, the
-inverse operator that drives the decomposition recursions; applying the
-integral n times to a t-independent sum produces the t^n/n! structure of a
-truncated exponential series.
+``ExpSum`` values: the form in which series terms are stored, evaluated and
+serialized.  The recursions themselves run on ``ExpSum`` coefficients.
 
 Canonical form, maintained by the constructors:
 
@@ -189,8 +187,7 @@ class TimePoly:
     """Polynomial in t with ExpSum coefficients; ``coeffs[k]`` multiplies t**k.
 
     The trailing coefficient is nonzero (degree is tight); the zero polynomial
-    has an empty coefficient tuple.  t is treated as a real variable
-    throughout, in particular by :meth:`conj`.
+    has an empty coefficient tuple.
     """
 
     coeffs: tuple[ExpSum, ...] = ()
@@ -206,20 +203,11 @@ class TimePoly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def zero(cls) -> "TimePoly":
-        return cls(())
-
-    @classmethod
     def from_expsum(cls, s: ExpSum, power: int = 0) -> "TimePoly":
         """The monomial ``s * t**power``."""
         if power < 0:
             raise InvalidInputError(f"power must be nonnegative, got {power!r}")
         return cls((ExpSum.zero(),) * power + (s,))
-
-    @property
-    def degree(self) -> int:
-        """Degree in t; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -230,58 +218,6 @@ class TimePoly:
         if k < 0:
             raise InvalidInputError(f"power must be nonnegative, got {k!r}")
         return self.coeffs[k] if k < len(self.coeffs) else ExpSum.zero()
-
-    def __add__(self, other):
-        if not isinstance(other, TimePoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TimePoly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
-
-    def __neg__(self) -> "TimePoly":
-        return TimePoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, TimePoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, TimePoly):
-            if self.is_zero or other.is_zero:
-                return TimePoly.zero()
-            out = [ExpSum.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return TimePoly(tuple(out))
-        return TimePoly(tuple(c * other for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def integrate_t(self) -> "TimePoly":
-        """Definite integral from 0 to t; the result has zero constant term."""
-        if self.is_zero:
-            return self
-        new = [ExpSum.zero()]
-        for k, c in enumerate(self.coeffs):
-            new.append(c * (1.0 / (k + 1)))
-        return TimePoly(tuple(new))
-
-    def dt(self) -> "TimePoly":
-        """Derivative in t."""
-        return TimePoly(
-            tuple(self.coeffs[k] * float(k) for k in range(1, len(self.coeffs)))
-        )
-
-    def dx(self, order: int = 1) -> "TimePoly":
-        """Derivative in x applied coefficientwise."""
-        return TimePoly(tuple(c.dx(order) for c in self.coeffs))
-
-    def conj(self) -> "TimePoly":
-        """Complex conjugate with t kept real: conjugate each coefficient."""
-        return TimePoly(tuple(c.conj() for c in self.coeffs))
 
     def eval(self, x: float, t: float) -> complex:
         """Horner evaluation in t of the coefficient values at x."""
@@ -303,8 +239,5 @@ class TimePoly:
 
 def tpoly_diff(p: TimePoly, q: TimePoly) -> float:
     """Largest coefficient magnitude of ``p - q`` across all t-powers."""
-    out = 0.0
-    for s in (p - q).coeffs:
-        for c, _ in s.terms:
-            out = max(out, abs(c))
-    return out
+    n = max(len(p.coeffs), len(q.coeffs))
+    return max((expsum_diff(p.coeff(k), q.coeff(k)) for k in range(n)), default=0.0)

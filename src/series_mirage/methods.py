@@ -6,22 +6,25 @@ Equations (g is the cubic coupling):
     REDUCED_NLS   i u_t + u_xx + g u = 0           (constant-coefficient linear)
     FULL_NLS      i u_t + u_xx + g |u|^2 u = 0     (cubic)
 
-All generators expand u = sum_n u_n with u_0 equal to the initial condition,
-building each term inside the exact :class:`~series_mirage.expsum.TimePoly`
-algebra.
+All generators expand u = sum_n u_n with u_0 equal to the initial condition.
+Every term is a t-monomial u_n = w_n(x) t^n, so the recursions run on the
+:class:`~series_mirage.expsum.ExpSum` coefficients w_n and wrap each one as
+a :class:`~series_mirage.expsum.TimePoly` only at the end.
 
 * :func:`hpm_series` is the homotopy-perturbation construction with linear
   part d/dt and initial guess u(x,0).  Matching powers of the embedding
-  parameter collapses to the recursion
+  parameter collapses to u_{n+1} = I[ F(u_n) ], with F the right-hand side
+  of u_t = F(u) and I the definite time integral from 0 to t.  Since
+  I[w t^n] = w t^{n+1}/(n+1), on the coefficients this reads
 
-      u_{n+1} = -i * I[ d_xx u_n ]            (LINEAR)
-      u_{n+1} =  i * I[ (d_xx + g) u_n ]      (REDUCED_NLS)
+      w_{n+1} = -i w_n'' / (n+1)               (LINEAR)
+      w_{n+1} =  i (w_n'' + g w_n) / (n+1)     (REDUCED_NLS)
 
-  where I is the definite time integral from 0 to t.
 * :func:`adm_series` applies the inverse operator I to the same right-hand
   sides; the two methods coincide term by term for the linear kinds.  For
-  FULL_NLS the cubic term is expanded in the polynomials A_n produced by
-  :func:`adomian_cubic`, giving u_{n+1} = i * I[ d_xx u_n + g A_n ].
+  FULL_NLS the cubic term is expanded in the Adomian polynomials, whose t^n
+  coefficient a_n comes from :func:`adomian_cubic`, giving
+  w_{n+1} = i (w_n'' + g a_n) / (n+1).
 * :func:`taylor_series` computes the plain Taylor terms t^j/j! (d/dt)^j u|_0
   by substituting the equation for every time derivative.  For the linear
   kinds each method performs the same elementary coefficient operations, so
@@ -35,7 +38,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import InvalidInputError, UnsupportedEquationError
 from .expsum import MAX_T_DEGREE, ExpSum, TimePoly, tpoly_diff
@@ -100,33 +102,25 @@ class SeriesSolution:
     def order(self) -> int:
         return len(self.terms) - 1
 
-    @property
-    def initial(self) -> ExpSum:
-        return self.terms[0].coeff(0)
+
+def _check_order(n, hi: int = MAX_T_DEGREE, what: str = "series order", lo: int = 0) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or not lo <= n <= hi:
+        raise InvalidInputError(f"{what} must be an integer in [{lo}, {hi}], got {n!r}")
 
 
-def _check_order(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_T_DEGREE:
-        raise InvalidInputError(
-            f"series order must be an integer in [0, {MAX_T_DEGREE}], got {n!r}"
-        )
-    return n
-
-
-def _integrand(eq: Equation, p: TimePoly) -> TimePoly:
-    # the right-hand side of u_t = ... applied to one series term
-    if eq.kind is EquationKind.LINEAR:
-        return p.dx(2) * (-1j)
-    return (p.dx(2) + eq.gamma * p) * 1j
-
-
-def _integral_recursion(
-    u0: ExpSum, eq: Equation, n_terms: int, method: SeriesMethod
-) -> SeriesSolution:
-    terms = [TimePoly.from_expsum(u0)]
-    for _ in range(n_terms):
-        terms.append(_integrand(eq, terms[-1]).integrate_t())
-    return SeriesSolution(tuple(terms), eq, method)
+def _recursion(u0: ExpSum, eq: Equation, order: int, method: SeriesMethod) -> SeriesSolution:
+    # the w_n recursions of the module docstring; term n is w_n * t^n
+    ws = [u0]
+    for n in range(order):
+        w = ws[n]
+        if eq.kind is EquationKind.LINEAR:
+            rhs = w.dx(2) * (-1j)
+        else:
+            source = adomian_cubic(ws) if eq.kind is EquationKind.FULL_NLS else w
+            rhs = (w.dx(2) + eq.gamma * source) * 1j
+        ws.append(rhs * (1.0 / (n + 1)))
+    terms = tuple(TimePoly.from_expsum(w, n) for n, w in enumerate(ws))
+    return SeriesSolution(terms, eq, method)
 
 
 def hpm_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
@@ -142,7 +136,7 @@ def hpm_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
             "hpm_series covers the linear and reduced equations only; "
             "use adm_series for the full cubic equation"
         )
-    return _integral_recursion(u0, eq, order, SeriesMethod.HPM)
+    return _recursion(u0, eq, order, SeriesMethod.HPM)
 
 
 def adm_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
@@ -152,36 +146,29 @@ def adm_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
     one; for FULL_NLS the cubic term is fed through :func:`adomian_cubic`.
     """
     _check_order(order)
-    if eq.kind is not EquationKind.FULL_NLS:
-        return _integral_recursion(u0, eq, order, SeriesMethod.ADM)
-    terms = [TimePoly.from_expsum(u0)]
-    for n in range(order):
-        a_n = adomian_cubic(terms)
-        integrand = (terms[n].dx(2) + eq.gamma * a_n) * 1j
-        terms.append(integrand.integrate_t())
-    return SeriesSolution(tuple(terms), eq, SeriesMethod.ADM)
+    return _recursion(u0, eq, order, SeriesMethod.ADM)
 
 
-def adomian_cubic(terms: list[TimePoly] | tuple[TimePoly, ...]) -> TimePoly:
+def adomian_cubic(ws: list[ExpSum] | tuple[ExpSum, ...]) -> ExpSum:
     """Adomian polynomial A_n for the nonlinearity N(u) = u^2 conj(u).
 
-    Given u_0..u_n, returns the trilinear Cauchy sum
+    Given the coefficients w_0..w_n of the terms u_k = w_k t^k, returns the
+    t^n coefficient of A_n, the trilinear Cauchy sum
 
-        A_n = sum_{i+j+k=n} u_i * u_j * conj(u_k)
+        sum_{i+j+k=n} w_i * w_j * conj(w_k)
 
-    with t treated as real under conjugation.  For a polynomial nonlinearity
-    this coincides with the classical derivative definition of the Adomian
-    polynomials, and the sum is exact in this algebra.
+    (t is real, so conjugation leaves the powers alone).  For a polynomial
+    nonlinearity this coincides with the classical derivative definition of
+    the Adomian polynomials, and the sum is exact in this algebra.
     """
-    if not terms:
-        raise InvalidInputError("adomian_cubic requires at least u_0")
-    n = len(terms) - 1
-    conjs = [p.conj() for p in terms]
-    total = TimePoly.zero()
+    if not ws:
+        raise InvalidInputError("adomian_cubic requires at least w_0")
+    n = len(ws) - 1
+    conjs = [w.conj() for w in ws]
+    total = ExpSum.zero()
     for i in range(n + 1):
         for j in range(n + 1 - i):
-            k = n - i - j
-            total = total + terms[i] * terms[j] * conjs[k]
+            total = total + ws[i] * ws[j] * conjs[n - i - j]
     return total
 
 
@@ -213,20 +200,8 @@ def taylor_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
 
 def partial_sum_eval(sol: SeriesSolution, order: int, x: float, t: float) -> complex:
     """Value of the partial sum u_0 + ... + u_order at (x, t)."""
-    if not isinstance(order, int) or isinstance(order, bool) or not 0 <= order <= sol.order:
-        raise InvalidInputError(
-            f"partial-sum order must be an integer in [0, {sol.order}], got {order!r}"
-        )
+    _check_order(order, sol.order, "partial-sum order")
     return sum((sol.terms[n].eval(x, t) for n in range(order + 1)), 0j)
-
-
-def partial_sum_fn(sol: SeriesSolution, order: int) -> Callable[[float, float], complex]:
-    """Closure evaluating the order-N partial sum; validates the order once."""
-    if not isinstance(order, int) or isinstance(order, bool) or not 0 <= order <= sol.order:
-        raise InvalidInputError(
-            f"partial-sum order must be an integer in [0, {sol.order}], got {order!r}"
-        )
-    return lambda x, t: partial_sum_eval(sol, order, x, t)
 
 
 def series_residual(sol: SeriesSolution, order: int) -> TimePoly:
@@ -242,18 +217,17 @@ def series_residual(sol: SeriesSolution, order: int) -> TimePoly:
         raise UnsupportedEquationError(
             "series_residual covers the linear and reduced equations only"
         )
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-        raise InvalidInputError(f"residual order must be an integer >= 1, got {order!r}")
-    if order > sol.order:
-        raise InvalidInputError(
-            f"residual order {order} exceeds the series order {sol.order}"
-        )
-    s = TimePoly.zero()
-    for n in range(order + 1):
-        s = s + sol.terms[n]
-    if sol.equation.kind is EquationKind.LINEAR:
-        return s.dt() + s.dx(2) * 1j
-    return s.dt() * 1j + s.dx(2) + sol.equation.gamma * s
+    _check_order(order, sol.order, "residual order", lo=1)
+    # term k is w_k t^k; pad with w_{order+1} = 0 past the truncation
+    ws = [sol.terms[k].coeff(k) for k in range(order + 1)] + [ExpSum.zero()]
+    out = []
+    for k in range(order + 1):
+        d_t = ws[k + 1] * float(k + 1)  # t^k coefficient of d_t S
+        if sol.equation.kind is EquationKind.LINEAR:
+            out.append(d_t + ws[k].dx(2) * 1j)
+        else:
+            out.append(d_t * 1j + ws[k].dx(2) + sol.equation.gamma * ws[k])
+    return TimePoly(tuple(out))
 
 
 def series_max_term_diff(

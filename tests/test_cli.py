@@ -28,6 +28,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("example3", overrides={"order": 100})
 
+    def test_operator_size_cap(self):
+        assert parse_config("operator", overrides={"grid_n": 2048})["grid_n"] == 2048
+        with pytest.raises(ConfigError, match="grid_n must be <= 2048"):
+            parse_config("operator", overrides={"grid_n": 2049})
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             parse_config("example9")
@@ -148,6 +153,7 @@ class TestMainExitCodes:
             (["example3"], {"mystery": 1}),
             (["example3"], {"gamma": True}),
             (["gaussian-free"], {"sigma": 0}),
+            (["operator", "--n", "20000"], None),
         ],
     )
     def test_config_errors_exit_one(self, tmp_path, capsys, argv, config):
@@ -175,7 +181,7 @@ class TestMainExitCodes:
         def corrupted(u0, eq, order):
             sol = cli.taylor_series(u0, eq, order)
             broken = list(sol.terms)
-            broken[1] = broken[1] * 2.0
+            broken[1] = TimePoly.from_expsum(broken[1].coeff(1) * 2.0, 1)
             return type(sol)(tuple(broken), sol.equation, sol.method)
 
         monkeypatch.setitem(
@@ -202,6 +208,14 @@ class TestMainExitCodes:
     def test_tail_bound_overflow_exits_three(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_tail_bound_amplitude_overflow_exits_three(self, tmp_path, capsys):
+        # example1's 2cosh(2x) overflows at x = 400
+        f = tmp_path / "run.json"
+        f.write_text(json.dumps({"x1": 400.0}))
+        assert main(["example1", "--config", str(f), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
 
 
 class TestSeriesExperiments:

@@ -14,14 +14,13 @@ from series_mirage.diagnostics import (
     truncation_error_table,
     unit_modulus_deviation,
 )
-from series_mirage.errors import InvalidInputError
-from series_mirage.exact import exact_linear, exact_reduced_nls
+from series_mirage.errors import EvaluationOverflowError, InvalidInputError
+from series_mirage.exact import ExactEvaluator, exact_linear, exact_reduced_nls
 from series_mirage.expsum import ExpSum
 from series_mirage.methods import (
     Equation,
     adm_series,
     partial_sum_eval,
-    partial_sum_fn,
     taylor_series,
 )
 
@@ -146,6 +145,41 @@ class TestErrorTable:
         with pytest.raises(InvalidInputError):
             truncation_error_table(sol, exact_linear(COSH_SUM), [], [0.0], X_SAMPLES)
 
+    def test_exact_evaluated_once_per_time_and_point(self):
+        sol = taylor_series(COSH_SUM, Equation.linear(), 6)
+        exact = exact_linear(COSH_SUM)
+        calls = []
+
+        def counted(x, t):
+            calls.append((x, t))
+            return exact(x, t)
+
+        args = ([0, 3, 6], [0.1, 0.5], X_SAMPLES)
+        table = truncation_error_table(sol, ExactEvaluator(exact.equations, counted), *args)
+        assert sorted(calls) == sorted((x, t) for t in args[1] for x in X_SAMPLES)
+        assert table == truncation_error_table(sol, exact, *args)
+
+    def test_exact_overflow_raises(self):
+        sol = taylor_series(COSH_SUM, Equation.linear(), 4)
+        exact = exact_linear(COSH_SUM)
+
+        def overflowing(x, t):
+            if t > 0.5:
+                raise EvaluationOverflowError("exp overflow")
+            return exact(x, t)
+
+        with pytest.raises(EvaluationOverflowError, match="exact solution at t=1.0"):
+            truncation_error_table(
+                sol, ExactEvaluator(exact.equations, overflowing), [0, 4], [0.1, 1.0], X_SAMPLES
+            )
+
+    def test_tail_bound_amplitude_overflow_raises(self):
+        # e^{2x} at x = 400 overflows while the tail-bound amplitude is formed
+        u0 = ExpSum.single(1, 2)
+        sol = taylor_series(u0, Equation.linear(), 3)
+        with pytest.raises(EvaluationOverflowError, match="amplitude"):
+            truncation_error_table(sol, exact_linear(u0), [3], [0.1], [0.0, 400.0])
+
 
 class TestUnitModulus:
     SAMPLES = [(x, t) for x in (-1.0, 0.0, 0.5) for t in (0.0, 0.5, 1.0)]
@@ -156,19 +190,21 @@ class TestUnitModulus:
 
     def test_order_two_partial_sum(self):
         sol = adm_series(ExpSum.single(1, 1j), Equation.full_nls(2.0), 5)
-        dev = unit_modulus_deviation(partial_sum_fn(sol, 2), [(0.0, 1.0)])
+        dev = unit_modulus_deviation(lambda x, t: partial_sum_eval(sol, 2, x, t), [(0.0, 1.0)])
         # |1 + i - 1/2| - 1 = sqrt(5)/2 - 1
         assert dev == pytest.approx(math.sqrt(1.25) - 1, abs=1e-12)
 
     def test_converged_partial_sum(self):
         sol = adm_series(ExpSum.single(1, 1j), Equation.full_nls(2.0), 30)
-        dev = unit_modulus_deviation(partial_sum_fn(sol, 30), [(0.0, 1.0), (0.5, 1.0)])
+        dev = unit_modulus_deviation(
+            lambda x, t: partial_sum_eval(sol, 30, x, t), [(0.0, 1.0), (0.5, 1.0)]
+        )
         assert dev <= 1e-12
 
     def test_modulus_converges_with_order(self):
         sol = adm_series(ExpSum.single(1, 1j), Equation.full_nls(2.0), 25)
         samples = [(x, 1.0) for x in X_SAMPLES]
-        dev25 = unit_modulus_deviation(partial_sum_fn(sol, 25), samples)
+        dev25 = unit_modulus_deviation(lambda x, t: partial_sum_eval(sol, 25, x, t), samples)
         assert dev25 <= 1e-10
 
     def test_empty_samples_rejected(self):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from series_mirage.errors import InvalidInputError, UnsupportedEquationError
@@ -14,7 +15,6 @@ from series_mirage.methods import (
     adomian_cubic,
     hpm_series,
     partial_sum_eval,
-    partial_sum_fn,
     series_max_term_diff,
     series_residual,
     taylor_series,
@@ -29,10 +29,8 @@ LINEAR = Equation.linear()
 def monomial_coeff(sol, n):
     """The single ExpSum coefficient of t^n in term n."""
     term = sol.terms[n]
-    assert term.degree <= n
-    for k in range(term.degree + 1):
-        if k != n:
-            assert term.coeff(k).is_zero
+    assert len(term.coeffs) <= n + 1
+    assert all(c.is_zero for c in term.coeffs[:n])
     return term.coeff(n)
 
 
@@ -104,52 +102,46 @@ class TestAdm:
 
 class TestAdomianPolynomials:
     def test_unit_modulus_fixed_point(self):
-        u0 = TimePoly.from_expsum(PLANE_1)
-        a0 = adomian_cubic([u0])
-        assert a0.coeff(0).terms == ((1 + 0j, 1j),)
+        a0 = adomian_cubic([PLANE_1])
+        assert a0.terms == ((1 + 0j, 1j),)
 
     def test_first_polynomial_trilinear_sum(self):
-        u0 = TimePoly.from_expsum(PLANE_1)
-        u1 = TimePoly.from_expsum(ExpSum.single(1j, 1j), power=1)  # i t e^{ix}
-        a1 = adomian_cubic([u0, u1])
+        w1 = ExpSum.single(1j, 1j)  # u_1 = i t e^{ix}
+        a1 = adomian_cubic([PLANE_1, w1])
         # 2 u0 u1 conj(u0) + u0^2 conj(u1) = (2it - it) e^{ix} = it e^{ix}
-        assert a1.degree == 1
-        assert expsum_diff(a1.coeff(1), ExpSum.single(1j, 1j)) <= 1e-15
+        assert expsum_diff(a1, ExpSum.single(1j, 1j)) <= 1e-15
 
     def test_cubic_homogeneity_constant(self):
-        u0 = TimePoly.from_expsum(ExpSum.single(2, 1j))
-        a0 = adomian_cubic([u0])
-        assert a0.coeff(0).terms == ((8 + 0j, 1j),)
+        a0 = adomian_cubic([ExpSum.single(2, 1j)])
+        assert a0.terms == ((8 + 0j, 1j),)
 
     def test_against_lambda_expansion_oracle(self):
         # Independent oracle: expand N(sum_k lam^k u_k) = U^2 conj(U) as a
         # polynomial in lam by generic convolution and read off coefficient n.
+        # u_k = w_k t^k, so lam-coefficient n is t^n times an ExpSum.
         rng = random.Random(42)
-        u = [
-            TimePoly.from_expsum(
-                ExpSum(
-                    (
-                        (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), 1j),
-                        (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), -2j),
-                    )
-                ),
-                power=k,
+        w = [
+            ExpSum(
+                (
+                    (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), 1j),
+                    (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), -2j),
+                )
             )
-            for k in range(5)
+            for _ in range(5)
         ]
 
         def lam_convolve(a, b):
-            out = [TimePoly.zero()] * (len(a) + len(b) - 1)
+            out = [ExpSum.zero()] * (len(a) + len(b) - 1)
             for i, p in enumerate(a):
                 for j, q in enumerate(b):
                     out[i + j] = out[i + j] + p * q
             return out
 
-        u_conj = [p.conj() for p in u]
-        expansion = lam_convolve(lam_convolve(u, u), u_conj)
+        w_conj = [p.conj() for p in w]
+        expansion = lam_convolve(lam_convolve(w, w), w_conj)
         for n in range(5):
-            direct = adomian_cubic(u[: n + 1])
-            assert tpoly_diff(direct, expansion[n]) <= 1e-13
+            direct = adomian_cubic(w[: n + 1])
+            assert expsum_diff(direct, expansion[n]) <= 1e-13
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -157,11 +149,11 @@ class TestAdomianPolynomials:
 
     def test_scaling_property(self):
         sol = adm_series(PLANE_1, Equation.full_nls(2.0), 4)
+        w = [monomial_coeff(sol, n) for n in range(5)]
         lam = 1.7
-        scaled = [lam * p for p in sol.terms]
-        a = adomian_cubic(list(sol.terms))
-        a_scaled = adomian_cubic(scaled)
-        assert tpoly_diff(a_scaled, lam**3 * a) <= 1e-12
+        a = adomian_cubic(w)
+        a_scaled = adomian_cubic([lam * p for p in w])
+        assert expsum_diff(a_scaled, lam**3 * a) <= 1e-12
 
 
 class TestTaylor:
@@ -206,11 +198,14 @@ class TestPartialSums:
             partial_sum_eval(sol, 4, 0.0, 0.0)
 
     def test_partial_sum_fn_closure(self):
+        # a closure over partial_sum_eval is the (x, t) -> complex callable
+        # that unit_modulus_deviation takes
         sol = adm_series(PLANE_1, Equation.full_nls(2.0), 5)
-        f = partial_sum_fn(sol, 2)
-        assert f(0.0, 1.0) == partial_sum_eval(sol, 2, 0.0, 1.0)
+        f = lambda x, t: partial_sum_eval(sol, 2, x, t)
+        assert f(0.0, 1.0) == pytest.approx(0.5 + 1j, abs=1e-14)
+        g = lambda x, t: partial_sum_eval(sol, 9, x, t)
         with pytest.raises(InvalidInputError):
-            partial_sum_fn(sol, 9)
+            g(0.0, 1.0)
 
 
 class TestResidual:
@@ -218,7 +213,7 @@ class TestResidual:
         sol = hpm_series(COSH_SUM, LINEAR, 6)
         for order in (1, 3, 6):
             res = series_residual(sol, order)
-            expect = sol.terms[order].dx(2) * 1j
+            expect = TimePoly.from_expsum(monomial_coeff(sol, order).dx(2) * 1j, order)
             assert tpoly_diff(res, expect) <= 1e-13
             # the time derivatives telescope; powers below the truncation
             # order cancel to rounding
@@ -230,7 +225,8 @@ class TestResidual:
         sol = adm_series(PLANE_1, Equation.reduced_nls(2.0), 5)
         for order in (1, 4):
             res = series_residual(sol, order)
-            expect = sol.terms[order].dx(2) + 2.0 * sol.terms[order]
+            w = monomial_coeff(sol, order)
+            expect = TimePoly.from_expsum(w.dx(2) + 2.0 * w, order)
             assert tpoly_diff(res, expect) <= 1e-13
 
     def test_plane_wave_residual_magnitude(self):
@@ -292,8 +288,8 @@ class TestMethodEquivalence:
         sv = hpm_series(v, LINEAR, 12)
         s_mix = hpm_series(a * u + b * v, LINEAR, 12)
         for n in range(13):
-            mixed = a * su.terms[n] + b * sv.terms[n]
-            assert tpoly_diff(s_mix.terms[n], mixed) <= 1e-13
+            mixed = a * monomial_coeff(su, n) + b * monomial_coeff(sv, n)
+            assert tpoly_diff(s_mix.terms[n], TimePoly.from_expsum(mixed, n)) <= 1e-13
 
     def test_full_reduces_to_reduced_for_plane_waves(self):
         # pairs with |gamma - alpha^2| <= 2, where the trilinear sums do not
@@ -310,3 +306,79 @@ class TestMethodEquivalence:
         sol = adm_series(u0, Equation.full_nls(1.0), 4)
         assert len(sol.terms) == 5
         assert not sol.terms[4].is_zero
+
+
+MIXED = ExpSum(((1, 1j), (0.5, -2j)))
+
+
+@pytest.mark.parametrize(
+    "gen, eq",
+    [
+        (hpm_series, LINEAR),
+        (hpm_series, Equation.reduced_nls(2.0)),
+        (adm_series, LINEAR),
+        (adm_series, Equation.reduced_nls(2.0)),
+        (adm_series, Equation.full_nls(1.0)),
+        (taylor_series, LINEAR),
+        (taylor_series, Equation.reduced_nls(2.0)),
+    ],
+)
+def test_terms_are_t_monomials(gen, eq):
+    # term n is w_n t^n: one nonzero coefficient, and n + 1 power lists
+    sol = gen(MIXED, eq, 8)
+    for n, term in enumerate(sol.terms):
+        assert not term.coeff(n).is_zero
+        assert all(term.coeff(k).is_zero for k in range(n))
+        powers = term.to_json()
+        assert len(powers) == n + 1
+        assert all(p == [] for p in powers[:n])
+
+
+def fourier_mode_cubic(modes, gamma, order):
+    """Cubic-NLS Taylor coefficients in t as dense Fourier-mode arrays.
+
+    For u = sum_n t^n sum_k c_{n,k} e^{ikx} the equation gives
+    c_{n+1} = i (-k^2 c_n + g A_n) / (n + 1), with A_n the t^n coefficient of
+    u^2 conj(u).  Products are NumPy convolutions over wavenumbers -K..K, and
+    A_n uses the cached pair products B_m = sum_{i+j=m} c_i c_j, a different
+    summation order from the library's triple sum.
+    """
+    kmax = max(abs(k) for k in modes) * (2 * order + 1)
+    ks = np.arange(-kmax, kmax + 1)
+
+    def conv(a, b):
+        return np.convolve(a, b)[kmax : 3 * kmax + 1]
+
+    c = [np.zeros(ks.size, dtype=complex)]
+    for k, coeff in modes.items():
+        c[0][k + kmax] += coeff
+    pairs = []
+    for n in range(order):
+        pairs.append(sum(conv(c[i], c[n - i]) for i in range(n + 1)))
+        # conj(u) has coefficient conj(c_k) at wavenumber -k
+        cubic = sum(conv(pairs[m], np.conj(c[n - m][::-1])) for m in range(n + 1))
+        c.append(1j * (-(ks**2) * c[n] + gamma * cubic) / (n + 1))
+    return ks, c
+
+
+@pytest.mark.parametrize(
+    "modes, gamma, order",
+    [
+        ({1: 1.0, -2: 0.4 - 0.3j}, 1.5, 10),
+        ({1: 0.8 + 0.6j, 3: -0.5j}, -2.0, 9),
+        ({-1: 0.6 + 0.2j, 0: -0.3, 2: 0.5j}, 2.0, 8),
+        ({1: 1.0, 2: 0.3 + 0.4j, 3: -0.25}, -1.0, 8),
+    ],
+)
+def test_full_nls_multimode_matches_fourier_recursion(modes, gamma, order):
+    u0 = ExpSum(tuple((c, 1j * k) for k, c in modes.items()))
+    sol = adm_series(u0, Equation.full_nls(gamma), order)
+    ks, ref = fourier_mode_cubic(modes, gamma, order)
+    kmax = ks[-1]
+    for n in range(order + 1):
+        got = np.zeros(ks.size, dtype=complex)
+        for c, a in monomial_coeff(sol, n).terms:
+            assert a.real == 0.0 and a.imag == round(a.imag)
+            got[int(round(a.imag)) + kmax] += c
+        scale = np.sum(np.abs(ref[n]))
+        assert np.max(np.abs(got - ref[n])) <= 1e-14 * scale, n
