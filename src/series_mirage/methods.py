@@ -198,10 +198,37 @@ def taylor_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
     return SeriesSolution(tuple(terms), eq, SeriesMethod.TAYLOR)
 
 
+def _coefficient_values(sol: SeriesSolution, order: int, x: float) -> list[list[complex]]:
+    """Values at x of the t-power coefficients of u_0..u_order, highest power first.
+
+    Each nonzero coefficient is evaluated once; an empty one stands for 0j.
+    """
+    terms = sol.terms[: order + 1]
+    return [[0j if c.is_zero else c.eval(x) for c in reversed(p.coeffs)] for p in terms]
+
+
+def _partial_sums(values: list[list[complex]], t: float) -> list[complex]:
+    """Partial sums S_0..S_N at t from the :func:`_coefficient_values` at one x.
+
+    Each term is Horner-evaluated in t as :meth:`TimePoly.eval` does, and the
+    terms are added left to right into one running sum.
+    """
+    if not math.isfinite(t):
+        raise InvalidInputError(f"evaluation time must be finite, got {t!r}")
+    sums, s = [], 0j
+    for term in values:
+        v = 0j
+        for c in term:
+            v = v * t + c
+        s = s + v
+        sums.append(s)
+    return sums
+
+
 def partial_sum_eval(sol: SeriesSolution, order: int, x: float, t: float) -> complex:
     """Value of the partial sum u_0 + ... + u_order at (x, t)."""
     _check_order(order, sol.order, "partial-sum order")
-    return sum((sol.terms[n].eval(x, t) for n in range(order + 1)), 0j)
+    return _partial_sums(_coefficient_values(sol, order, x), t)[-1]
 
 
 def series_residual(sol: SeriesSolution, order: int) -> TimePoly:

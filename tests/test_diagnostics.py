@@ -16,10 +16,13 @@ from series_mirage.diagnostics import (
 )
 from series_mirage.errors import EvaluationOverflowError, InvalidInputError
 from series_mirage.exact import ExactEvaluator, exact_linear, exact_reduced_nls
-from series_mirage.expsum import ExpSum
+from series_mirage.expsum import ExpSum, TimePoly
 from series_mirage.methods import (
     Equation,
+    SeriesMethod,
+    SeriesSolution,
     adm_series,
+    hpm_series,
     partial_sum_eval,
     taylor_series,
 )
@@ -27,6 +30,47 @@ from series_mirage.methods import (
 COSH_SUM = ExpSum(((1, 0), (1, 2), (1, -2)))
 FLOAT_SLACK = 1e-13
 X_SAMPLES = [-1.0 + 0.5 * i for i in range(5)]
+
+TWO_MODE = ExpSum(((1, 1j), (0.5, -2j)))
+# several nonzero t-powers per term, an empty slot and an empty term: the
+# general Horner path, which the monomial series never take
+HAND_BUILT = SeriesSolution(
+    (
+        TimePoly((COSH_SUM, ExpSum.single(0.5, 1j))),
+        TimePoly(()),
+        TimePoly((ExpSum.single(-1j, 2), ExpSum.zero(), ExpSum(((0.25, -1), (2j, 3j))))),
+        TimePoly((ExpSum.zero(),) * 3 + (ExpSum.single(1e-3, -1j),)),
+    ),
+    Equation.linear(),
+    SeriesMethod.TAYLOR,
+)
+
+
+def _two_mode_guess(x, t):
+    # any smooth function serves as the reference: the table only compares
+    return TWO_MODE.eval(x) * cmath.exp(-1j * t)
+
+
+#: (series, exact, orders, times): one per route into the error table
+TABLE_CASES = {
+    "linear-cosh-hpm": (
+        hpm_series(COSH_SUM, Equation.linear(), 12), exact_linear(COSH_SUM),
+        range(13), [0.0, 0.3, 1.0],
+    ),
+    "linear-plane-taylor": (
+        taylor_series(ExpSum.single(1, 3j), Equation.linear(), 25),
+        exact_linear(ExpSum.single(1, 3j)), [0, 5, 25, 24], [1.0, 0.1, 0.5],
+    ),
+    "reduced-nls": (
+        hpm_series(ExpSum.single(1, 1j), Equation.reduced_nls(2.0), 20),
+        exact_reduced_nls(1.0, 2.0), range(21), [0.0, 0.5, 1.0],
+    ),
+    "two-mode-adm": (
+        adm_series(TWO_MODE, Equation.full_nls(2.0), 8),
+        ExactEvaluator((Equation.full_nls(2.0),), _two_mode_guess), range(9), [0.05, 0.2],
+    ),
+    "hand-built": (HAND_BUILT, exact_linear(COSH_SUM), [3, 0, 1, 2], [0.0, 0.7, 1.5]),
+}
 
 
 class TestClassifier:
@@ -140,24 +184,58 @@ class TestErrorTable:
         with pytest.raises(InvalidInputError):
             truncation_error_table(sol, exact_linear(COSH_SUM), [5], [0.0], X_SAMPLES)
 
+    @pytest.mark.parametrize("orders", [[2.7, True], [2.7], [True], [float("nan")]])
+    def test_non_integer_orders_rejected(self, orders):
+        # an order is never rounded: 2.7 and True are not orders 2 and 1
+        sol = taylor_series(COSH_SUM, Equation.linear(), 4)
+        with pytest.raises(InvalidInputError, match="error-table order must be an integer"):
+            truncation_error_table(sol, exact_linear(COSH_SUM), orders, [0.0], X_SAMPLES)
+
     def test_empty_inputs_rejected(self):
         sol = taylor_series(COSH_SUM, Equation.linear(), 4)
         with pytest.raises(InvalidInputError):
             truncation_error_table(sol, exact_linear(COSH_SUM), [], [0.0], X_SAMPLES)
 
-    def test_exact_evaluated_once_per_time_and_point(self):
-        sol = taylor_series(COSH_SUM, Equation.linear(), 6)
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_table_equals_per_cell_maxima_bit_for_bit(self, case):
+        sol, exact, orders, times = TABLE_CASES[case]
+        table = truncation_error_table(sol, exact, orders, times, X_SAMPLES)
+        cells = sorted((n, t) for n in set(orders) for t in times)
+        assert [(r.order, r.time) for r in table.rows] == cells
+        for r in table.rows:
+            n, t = r.order, r.time
+            for x in X_SAMPLES:
+                # the per-point API against the term-by-term sum it replaced
+                one_by_one = sum((p.eval(x, t) for p in sol.terms[: n + 1]), 0j)
+                assert partial_sum_eval(sol, n, x, t) == one_by_one
+            expect = max(abs(partial_sum_eval(sol, n, x, t) - exact(x, t)) for x in X_SAMPLES)
+            assert r.sup_error == expect
+
+    def test_exact_evaluated_once_per_time_and_point(self, monkeypatch):
+        # and each nonzero series coefficient at most once per point
+        sol = HAND_BUILT
         exact = exact_linear(COSH_SUM)
         calls = []
+        evals = []
+        plain_eval = ExpSum.eval
 
         def counted(x, t):
             calls.append((x, t))
             return exact(x, t)
 
-        args = ([0, 3, 6], [0.1, 0.5], X_SAMPLES)
+        def counted_eval(self, x):
+            evals.append(x)
+            return plain_eval(self, x)
+
+        args = ([0, 2, 3], [0.1, 0.5], X_SAMPLES)
+        plain = truncation_error_table(sol, exact, *args)
+        monkeypatch.setattr(ExpSum, "eval", counted_eval)
         table = truncation_error_table(sol, ExactEvaluator(exact.equations, counted), *args)
+        nonzero = sum(not c.is_zero for p in sol.terms for c in p.coeffs)
+        assert nonzero == 5
+        assert len(evals) <= nonzero * len(X_SAMPLES)
         assert sorted(calls) == sorted((x, t) for t in args[1] for x in X_SAMPLES)
-        assert table == truncation_error_table(sol, exact, *args)
+        assert table == plain
 
     def test_exact_overflow_raises(self):
         sol = taylor_series(COSH_SUM, Equation.linear(), 4)
@@ -172,6 +250,27 @@ class TestErrorTable:
             truncation_error_table(
                 sol, ExactEvaluator(exact.equations, overflowing), [0, 4], [0.1, 1.0], X_SAMPLES
             )
+
+    def test_series_overflow_names_the_term_and_point(self):
+        # e^x + e^{2x} at x = 800 overflows in u_0; the mixed frequencies
+        # leave no tail bound, and the reference is a harmless 0j
+        u0 = ExpSum(((1, 1), (1, 2)))
+        sol = taylor_series(u0, Equation.linear(), 3)
+        zero = ExactEvaluator((Equation.linear(),), lambda x, t: 0j)
+        term = r"\(1\+0j\)\*exp\(\(1\+0j\)\*x\) at x=800\.0"
+        with pytest.raises(EvaluationOverflowError, match=term):
+            truncation_error_table(sol, zero, [0, 3], [0.1], [0.0, 800.0])
+        with pytest.raises(EvaluationOverflowError, match=term):
+            partial_sum_eval(sol, 3, 800.0, 0.1)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        sol = taylor_series(COSH_SUM, Equation.linear(), 4)
+        zero = ExactEvaluator((Equation.linear(),), lambda x, t: 0j)
+        with pytest.raises(InvalidInputError, match="evaluation time must be finite"):
+            truncation_error_table(sol, zero, [0, 4], [t], X_SAMPLES)
+        with pytest.raises(InvalidInputError, match="evaluation time must be finite"):
+            partial_sum_eval(sol, 4, 0.5, t)
 
     def test_tail_bound_amplitude_overflow_raises(self):
         # e^{2x} at x = 400 overflows while the tail-bound amplitude is formed
