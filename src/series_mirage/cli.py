@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedEquationError,
 )
 from .exact import exact_linear, exact_reduced_nls, remainder_closed_form
-from .expsum import MAX_T_DEGREE, ExpSum
+from .expsum import MAX_T_DEGREE, ExpSum, tpoly_diff
 from .grid import (
     Grid,
     GridState,
@@ -60,7 +60,7 @@ from .grid import (
     split_step_nls,
     sup_error,
 )
-from .methods import Equation, adm_series, hpm_series, series_max_term_diff, taylor_series
+from .methods import Equation, adm_series, hpm_series, taylor_series
 from .operators import exact_evolve, laplacian_dirichlet, series_evolve
 
 
@@ -300,14 +300,19 @@ def _run_series(cfg: ExperimentConfig, out: Path) -> list[str]:
     methods = ["hpm", "adm", "taylor"] if cfg["method"] == "all" else [cfg["method"]]
     solutions = {m: generators[m](u0, eq_for[m], cfg["order"]) for m in methods}
 
+    # every term must agree to CROSS_CHECK_TOL both absolutely and relative
+    # to the sum of its coefficient magnitudes
     names = list(solutions)
     for other in names[1:]:
-        diff = series_max_term_diff(solutions[names[0]], solutions[other])
-        if diff > CROSS_CHECK_TOL:
-            raise CrossCheckError(
-                f"{names[0]} and {other} series disagree: max coefficient "
-                f"difference {diff:.3e} exceeds {CROSS_CHECK_TOL}"
-            )
+        for n, (p, q) in enumerate(zip(solutions[names[0]].terms, solutions[other].terms)):
+            diff = tpoly_diff(p, q)
+            size = sum(abs(c) for w in p.coeffs for c, _ in w.terms)
+            if diff > CROSS_CHECK_TOL * min(1.0, size):
+                raise CrossCheckError(
+                    f"{names[0]} and {other} series disagree at term {n}: coefficient "
+                    f"difference {diff:.3e} exceeds {CROSS_CHECK_TOL} or "
+                    f"{CROSS_CHECK_TOL} x {size:.3e}, the term's size"
+                )
 
     preferred = next(m for m in ("adm", "taylor", "hpm") if m in solutions)
     table = truncation_error_table(

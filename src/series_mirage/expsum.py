@@ -18,7 +18,8 @@ Canonical form, maintained by the constructors:
   intended equality);
 * coefficients below ``COEFF_DROP_REL`` times the largest magnitude in the
   sum are rounding noise from repeated products and are dropped, as are exact
-  zeros; this keeps term counts bounded in the cubic recursions;
+  zeros (the cubic series is built exactly in ``methods``; only its rounded
+  terms pass through here);
 * terms are sorted by ``(Re a, Im a)``, which makes serialization and CSV
   output deterministic.
 """

@@ -8,8 +8,9 @@ Equations (g is the cubic coupling):
 
 All generators expand u = sum_n u_n with u_0 equal to the initial condition.
 Every term is a t-monomial u_n = w_n(x) t^n, so the recursions run on the
-:class:`~series_mirage.expsum.ExpSum` coefficients w_n and wrap each one as
-a :class:`~series_mirage.expsum.TimePoly` only at the end.
+coefficients w_n (float :class:`~series_mirage.expsum.ExpSum` values for the
+linear kinds, exact Gaussian integers for FULL_NLS) and wrap each one as a
+:class:`~series_mirage.expsum.TimePoly` only at the end.
 
 * :func:`hpm_series` is the homotopy-perturbation construction with linear
   part d/dt and initial guess u(x,0).  Matching powers of the embedding
@@ -23,14 +24,29 @@ a :class:`~series_mirage.expsum.TimePoly` only at the end.
 * :func:`adm_series` applies the inverse operator I to the same right-hand
   sides; the two methods coincide term by term for the linear kinds.  For
   FULL_NLS the cubic term is expanded in the Adomian polynomials, whose t^n
-  coefficient a_n comes from :func:`adomian_cubic`, giving
-  w_{n+1} = i (w_n'' + g a_n) / (n+1).
+  coefficient is a_n = sum_{i+j+k=n} w_i w_j conj(w_k), giving
+  w_{n+1} = i (w_n'' + g a_n) / (n+1).  This recursion runs in exact
+  Gaussian-integer arithmetic.  Every float is a dyadic rational, so with
+  u0 = sum_K V_0[K]/D e^{K x / 2^E} (K a Gaussian integer, D and 2^E powers
+  of two), g = g_num/g_den and q = 4^E g_den D^2, the scaled coefficients
+  V_n = q^n n! D w_n are Gaussian integers on the lattice modes K and obey
+
+      V_{n+1} = i (g_den D^2 K^2 V_n + 4^E g_num sum_m C(n,m) B_m conj(V_{n-m}))
+      B_m     = sum_i C(m,i) V_i V_{m-i}
+
+  (:func:`adomian_cubic` computes the sum over m and caches the pair sums
+  B_m across orders).  Modes merge by key equality and nothing is dropped
+  inside the recursion; each coefficient of w_n is rounded to float once,
+  correctly, and the rounded term is an ordinary canonical ExpSum.
 * :func:`taylor_series` computes the plain Taylor terms t^j/j! (d/dt)^j u|_0
   by substituting the equation for every time derivative.  For the linear
   kinds each method performs the same elementary coefficient operations, so
   the three truncated series are one and the same Taylor polynomial of the
   exponential exact solution; this generator serves as the oracle the other
   two are compared against.
+
+Every generator raises :class:`~series_mirage.errors.EvaluationOverflowError`,
+naming the term, when a coefficient leaves the double range.
 """
 
 from __future__ import annotations
@@ -39,7 +55,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, UnsupportedEquationError
+from .errors import EvaluationOverflowError, InvalidInputError, UnsupportedEquationError
 from .expsum import MAX_T_DEGREE, ExpSum, TimePoly, tpoly_diff
 
 
@@ -108,19 +124,71 @@ def _check_order(n, hi: int = MAX_T_DEGREE, what: str = "series order", lo: int 
         raise InvalidInputError(f"{what} must be an integer in [{lo}, {hi}], got {n!r}")
 
 
+def _overflow(method: SeriesMethod, n: int, exc: Exception) -> EvaluationOverflowError:
+    return EvaluationOverflowError(
+        f"{method.value} series term {n} leaves the float range: {exc}"
+    )
+
+
 def _recursion(u0: ExpSum, eq: Equation, order: int, method: SeriesMethod) -> SeriesSolution:
-    # the w_n recursions of the module docstring; term n is w_n * t^n
+    # the float w_n recursions of the linear kinds; term n is w_n * t^n
     ws = [u0]
-    for n in range(order):
-        w = ws[n]
-        if eq.kind is EquationKind.LINEAR:
-            rhs = w.dx(2) * (-1j)
-        else:
-            source = adomian_cubic(ws) if eq.kind is EquationKind.FULL_NLS else w
-            rhs = (w.dx(2) + eq.gamma * source) * 1j
-        ws.append(rhs * (1.0 / (n + 1)))
+    try:
+        for n in range(order):
+            w = ws[n]
+            if eq.kind is EquationKind.LINEAR:
+                rhs = w.dx(2) * (-1j)
+            else:
+                rhs = (w.dx(2) + eq.gamma * w) * 1j
+            ws.append(rhs * (1.0 / (n + 1)))
+    except (InvalidInputError, OverflowError) as exc:
+        # u0 and g are finite, so a non-finite coefficient is an overflow
+        raise _overflow(method, n + 1, exc) from exc
     terms = tuple(TimePoly.from_expsum(w, n) for n, w in enumerate(ws))
     return SeriesSolution(terms, eq, method)
+
+
+def _cubic_recursion(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
+    # the exact Gaussian-integer recursion of the module docstring
+    ratios = [
+        (c.real.as_integer_ratio(), c.imag.as_integer_ratio(),
+         a.real.as_integer_ratio(), a.imag.as_integer_ratio())
+        for c, a in u0.terms
+    ]
+    # every denominator is a power of two, so the largest is a common one
+    d = max((r[1] for rs in ratios for r in rs[:2]), default=1)
+    scale = max((r[1] for rs in ratios for r in rs[2:]), default=1)  # 2^E
+    v0 = {
+        (kr * (scale // kd), ki * (scale // ke)): (cr * (d // cd), ci * (d // ce))
+        for (cr, cd), (ci, ce), (kr, kd), (ki, ke) in ratios
+    }
+    g_num, g_den = eq.gamma.as_integer_ratio()
+    lin, cub = g_den * d * d, scale * scale * g_num
+    q = scale * scale * lin
+    vs, pairs, ws, den = [v0], [], [u0], d
+    for n in range(order):
+        source = adomian_cubic(vs, pairs)
+        v = {}
+        for (kr, ki), (re, im) in vs[n].items():
+            # (K^2 V) for K = kr + i ki
+            sr, si = lin * (kr * kr - ki * ki), lin * 2 * kr * ki
+            v[kr, ki] = (sr * re - si * im, sr * im + si * re)
+        for key, (re, im) in source.items():
+            r0, i0 = v.get(key, (0, 0))
+            v[key] = (r0 + cub * re, i0 + cub * im)
+        # times i, dropping the modes that cancelled exactly
+        v = {key: (-im, re) for key, (re, im) in v.items() if re or im}
+        vs.append(v)
+        den *= q * (n + 1)
+        try:
+            ws.append(ExpSum(tuple(
+                (complex(re / den, im / den), complex(kr / scale, ki / scale))
+                for (kr, ki), (re, im) in v.items()
+            )))
+        except (InvalidInputError, OverflowError) as exc:
+            raise _overflow(SeriesMethod.ADM, n + 1, exc) from exc
+    terms = tuple(TimePoly.from_expsum(w, n) for n, w in enumerate(ws))
+    return SeriesSolution(terms, eq, SeriesMethod.ADM)
 
 
 def hpm_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
@@ -143,32 +211,70 @@ def adm_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
     """Adomian decomposition series u_0..u_order for any equation kind.
 
     For LINEAR and REDUCED_NLS the recursion is identical to the homotopy
-    one; for FULL_NLS the cubic term is fed through :func:`adomian_cubic`.
+    one.  For FULL_NLS it runs exactly on Gaussian integers, calling
+    :func:`adomian_cubic` once per order, and rounds each coefficient once.
     """
     _check_order(order)
+    if eq.kind is EquationKind.FULL_NLS:
+        return _cubic_recursion(u0, eq, order)
     return _recursion(u0, eq, order, SeriesMethod.ADM)
 
 
-def adomian_cubic(ws: list[ExpSum] | tuple[ExpSum, ...]) -> ExpSum:
-    """Adomian polynomial A_n for the nonlinearity N(u) = u^2 conj(u).
+_Lattice = dict[tuple[int, int], tuple[int, int]]
 
-    Given the coefficients w_0..w_n of the terms u_k = w_k t^k, returns the
-    t^n coefficient of A_n, the trilinear Cauchy sum
 
-        sum_{i+j+k=n} w_i * w_j * conj(w_k)
+def _mul_add(acc: _Lattice, left: _Lattice, right: _Lattice, weight: int, conj: bool) -> None:
+    """acc += weight * left * right, or weight * left * conj(right) if conj."""
+    sign = -1 if conj else 1
+    # Gauss's three-multiplication product: with y = yr + i yi and
+    # k = yr (xr + xi), x y = (k - xi (yr + yi)) + i (k + xr (yi - yr))
+    right = [
+        (br, sign * bi, yr, yr + sign * yi, sign * yi - yr)
+        for (br, bi), (yr, yi) in right.items()
+    ]
+    get = acc.get
+    for (ar, ai), (xr, xi) in left.items():
+        xr, xi = weight * xr, weight * xi
+        xs = xr + xi
+        for br, bi, yr, y_sum, y_diff in right:
+            k = yr * xs
+            key = (ar + br, ai + bi)
+            re, im = get(key, (0, 0))
+            acc[key] = (re + k - xi * y_sum, im + k + xr * y_diff)
 
-    (t is real, so conjugation leaves the powers alone).  For a polynomial
-    nonlinearity this coincides with the classical derivative definition of
-    the Adomian polynomials, and the sum is exact in this algebra.
+
+def adomian_cubic(vs: list[_Lattice], pairs: list[_Lattice] | None = None) -> _Lattice:
+    """Scaled Adomian polynomial of N(u) = u^2 conj(u), exactly.
+
+    ``vs`` holds the scaled coefficients V_0..V_n of the terms
+    u_k = V_k t^k / (q^k k! D) as lattice dicts mapping a Gaussian-integer
+    mode K (the exponent times 2^E, as ``(re, im)``) to a Gaussian-integer
+    coefficient ``(re, im)``.  Returns n! q^n D^3 times the t^n coefficient
+    of A_n, the Cauchy sum sum_{i+j+k=n} w_i w_j conj(w_k), as
+
+        sum_m C(n,m) B_m conj(V_{n-m}),   B_m = sum_i C(m,i) V_i V_{m-i}.
+
+    ``pairs`` caches the pair sums across orders: if given it holds
+    B_0..B_{k-1} of the same ``vs`` for some k <= n + 1 and is extended in
+    place to B_n.  The grouping by pairs is exact only because the
+    arithmetic is; for a polynomial nonlinearity this coincides with the
+    classical derivative definition of the Adomian polynomials.
     """
-    if not ws:
-        raise InvalidInputError("adomian_cubic requires at least w_0")
-    n = len(ws) - 1
-    conjs = [w.conj() for w in ws]
-    total = ExpSum.zero()
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            total = total + ws[i] * ws[j] * conjs[n - i - j]
+    if not vs:
+        raise InvalidInputError("adomian_cubic requires at least V_0")
+    n = len(vs) - 1
+    pairs = [] if pairs is None else pairs
+    for m in range(len(pairs), n + 1):
+        b: _Lattice = {}
+        # C(m,i) V_i V_{m-i} is symmetric in i <-> m-i: form half of it twice
+        for i in range((m + 1) // 2):
+            _mul_add(b, vs[i], vs[m - i], 2 * math.comb(m, i), False)
+        if m % 2 == 0:
+            _mul_add(b, vs[m // 2], vs[m // 2], math.comb(m, m // 2), False)
+        pairs.append(b)
+    total: _Lattice = {}
+    for m in range(n + 1):
+        _mul_add(total, pairs[m], vs[n - m], math.comb(n, m), True)
     return total
 
 
@@ -189,12 +295,15 @@ def taylor_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
         )
     w = u0
     terms = [TimePoly.from_expsum(w)]
-    for j in range(1, order + 1):
-        if eq.kind is EquationKind.LINEAR:
-            w = (w.dx(2) * (-1j)) * (1.0 / j)
-        else:
-            w = ((w.dx(2) + eq.gamma * w) * 1j) * (1.0 / j)
-        terms.append(TimePoly.from_expsum(w, power=j))
+    try:
+        for j in range(1, order + 1):
+            if eq.kind is EquationKind.LINEAR:
+                w = (w.dx(2) * (-1j)) * (1.0 / j)
+            else:
+                w = ((w.dx(2) + eq.gamma * w) * 1j) * (1.0 / j)
+            terms.append(TimePoly.from_expsum(w, power=j))
+    except (InvalidInputError, OverflowError) as exc:
+        raise _overflow(SeriesMethod.TAYLOR, j, exc) from exc
     return SeriesSolution(tuple(terms), eq, SeriesMethod.TAYLOR)
 
 

@@ -193,6 +193,35 @@ class TestMainExitCodes:
         assert rc == 2
         assert "cross-check" in capsys.readouterr().err
 
+    def test_relative_cross_check_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        # term 20 of example3 is 1/20! ~ 4e-19: a 1e-9 relative error in it
+        # passes the absolute check and must fail the relative one
+        taylor = cli.taylor_series
+
+        def corrupted(u0, eq, order):
+            sol = taylor(u0, eq, order)
+            broken = list(sol.terms)
+            broken[20] = TimePoly.from_expsum(broken[20].coeff(20) * (1.0 + 1e-9), 20)
+            return type(sol)(tuple(broken), sol.equation, sol.method)
+
+        monkeypatch.setattr(cli, "taylor_series", corrupted)
+        rc = main(["example3", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cross-check" in err and "at term 20" in err
+
+    @pytest.mark.parametrize(
+        "argv, term",
+        [
+            (["example3", "--gamma", "1e300"], "hpm series term 2"),
+            (["example4", "--method", "adm", "--gamma", "1e200", "--order", "64"], "adm series term 2"),
+        ],
+    )
+    def test_series_overflow_exits_three(self, tmp_path, capsys, argv, term):
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and term in err and "Traceback" not in err
+
     def test_numerical_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         def blow_up(state, gamma, dt, steps):
             raise DivergenceError("non-finite field after step 7")
@@ -239,6 +268,11 @@ class TestSeriesExperiments:
         assert main(["example4", "--gamma", "-2", "--order", "4", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["gamma"] == -2.0
+
+    @pytest.mark.parametrize("gamma", ["-3", "-4", "-6"])
+    def test_strong_defocusing_coupling_passes_cross_check(self, tmp_path, gamma):
+        # float cancellation in the trinomial sum would put adm 7e-12..4e-7 off hpm
+        assert main(["example4", "--gamma", gamma, "--out", str(tmp_path)]) == 0
 
     def test_errors_table_has_bound_column(self, tmp_path):
         out = tmp_path / "e2"

@@ -2,9 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from series_mirage.errors import InvalidInputError, UnsupportedEquationError
 from series_mirage.expsum import ExpSum, TimePoly, expsum_diff, tpoly_diff
@@ -100,60 +103,95 @@ class TestAdm:
         assert series_max_term_diff(a, h) == 0.0
 
 
+def lattice_product(a, b):
+    """Generic product of two lattice dicts, one Gaussian product per pair."""
+    out = {}
+    for (ar, ai), (xr, xi) in a.items():
+        for (br, bi), (yr, yi) in b.items():
+            key = (ar + br, ai + bi)
+            re, im = out.get(key, (0, 0))
+            out[key] = (re + xr * yr - xi * yi, im + xr * yi + xi * yr)
+    return out
+
+
+def lattice_conj(a):
+    return {(kr, -ki): (re, -im) for (kr, ki), (re, im) in a.items()}
+
+
+def lattice_add(acc, a, scale=1):
+    """acc += scale * a, in place."""
+    for key, (re, im) in a.items():
+        r0, i0 = acc.get(key, (0, 0))
+        acc[key] = (r0 + scale * re, i0 + scale * im)
+
+
+def nonzero(a):
+    return {k: v for k, v in a.items() if v != (0, 0)}
+
+
 class TestAdomianPolynomials:
+    # adomian_cubic takes the scaled coefficients V_k = k! q^k D w_k as dicts
+    # from a Gaussian-integer mode to a Gaussian-integer coefficient
+
     def test_unit_modulus_fixed_point(self):
-        a0 = adomian_cubic([PLANE_1])
-        assert a0.terms == ((1 + 0j, 1j),)
+        assert adomian_cubic([{(0, 1): (1, 0)}]) == {(0, 1): (1, 0)}
 
     def test_first_polynomial_trilinear_sum(self):
-        w1 = ExpSum.single(1j, 1j)  # u_1 = i t e^{ix}
-        a1 = adomian_cubic([PLANE_1, w1])
+        v1 = {(0, 1): (0, 1)}  # u_1 = i t e^{ix}
         # 2 u0 u1 conj(u0) + u0^2 conj(u1) = (2it - it) e^{ix} = it e^{ix}
-        assert expsum_diff(a1, ExpSum.single(1j, 1j)) <= 1e-15
+        assert nonzero(adomian_cubic([{(0, 1): (1, 0)}, v1])) == {(0, 1): (0, 1)}
 
     def test_cubic_homogeneity_constant(self):
-        a0 = adomian_cubic([ExpSum.single(2, 1j)])
-        assert a0.terms == ((8 + 0j, 1j),)
+        assert adomian_cubic([{(0, 1): (2, 0)}]) == {(0, 1): (8, 0)}
+
+    @staticmethod
+    def random_terms(seed, count=5):
+        rng = random.Random(seed)
+        return [
+            {mode: (rng.randint(-9, 9), rng.randint(-9, 9)) for mode in ((0, 1), (0, -2), (1, 1))}
+            for _ in range(count)
+        ]
 
     def test_against_lambda_expansion_oracle(self):
         # Independent oracle: expand N(sum_k lam^k u_k) = U^2 conj(U) as a
         # polynomial in lam by generic convolution and read off coefficient n.
-        # u_k = w_k t^k, so lam-coefficient n is t^n times an ExpSum.
-        rng = random.Random(42)
+        # With u_k = V_k / k! (the q^k D scaling is common to every term of
+        # the sum), n! times lam-coefficient n is what adomian_cubic returns.
+        vs = self.random_terms(42)
         w = [
-            ExpSum(
-                (
-                    (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), 1j),
-                    (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), -2j),
-                )
-            )
-            for _ in range(5)
+            {k: (Fraction(re, math.factorial(j)), Fraction(im, math.factorial(j))) for k, (re, im) in v.items()}
+            for j, v in enumerate(vs)
         ]
 
         def lam_convolve(a, b):
-            out = [ExpSum.zero()] * (len(a) + len(b) - 1)
+            out = [{} for _ in range(len(a) + len(b) - 1)]
             for i, p in enumerate(a):
                 for j, q in enumerate(b):
-                    out[i + j] = out[i + j] + p * q
+                    lattice_add(out[i + j], lattice_product(p, q))
             return out
 
-        w_conj = [p.conj() for p in w]
-        expansion = lam_convolve(lam_convolve(w, w), w_conj)
+        expansion = lam_convolve(lam_convolve(w, w), [lattice_conj(p) for p in w])
+        pairs = []
         for n in range(5):
-            direct = adomian_cubic(w[: n + 1])
-            assert expsum_diff(direct, expansion[n]) <= 1e-13
+            expect = nonzero({
+                k: (re * math.factorial(n), im * math.factorial(n))
+                for k, (re, im) in expansion[n].items()
+            })
+            assert nonzero(adomian_cubic(vs[: n + 1])) == expect
+            # the pair cache carried across orders gives the same sum
+            assert nonzero(adomian_cubic(vs[: n + 1], pairs)) == expect
+            assert len(pairs) == n + 1
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             adomian_cubic([])
 
     def test_scaling_property(self):
-        sol = adm_series(PLANE_1, Equation.full_nls(2.0), 4)
-        w = [monomial_coeff(sol, n) for n in range(5)]
-        lam = 1.7
-        a = adomian_cubic(w)
-        a_scaled = adomian_cubic([lam * p for p in w])
-        assert expsum_diff(a_scaled, lam**3 * a) <= 1e-12
+        vs = self.random_terms(7)
+        lam = 3
+        a = adomian_cubic(vs)
+        a_scaled = adomian_cubic([{k: (lam * re, lam * im) for k, (re, im) in v.items()} for v in vs])
+        assert a_scaled == {k: (lam**3 * re, lam**3 * im) for k, (re, im) in a.items()}
 
 
 class TestTaylor:
@@ -292,8 +330,8 @@ class TestMethodEquivalence:
             assert tpoly_diff(s_mix.terms[n], TimePoly.from_expsum(mixed, n)) <= 1e-13
 
     def test_full_reduces_to_reduced_for_plane_waves(self):
-        # pairs with |gamma - alpha^2| <= 2, where the trilinear sums do not
-        # cancel catastrophically and the absolute tolerance is meaningful
+        # pairs with |gamma - alpha^2| <= 2, where the terms stay O(1) and
+        # the absolute tolerance is meaningful
         for alpha, gamma in ((1.0, 2.0), (1.0, -2.0), (1.0, 0.5), (2.0, 2.0)):
             u0 = ExpSum.single(1, 1j * alpha)
             full = adm_series(u0, Equation.full_nls(gamma), 12)
@@ -382,3 +420,61 @@ def test_full_nls_multimode_matches_fourier_recursion(modes, gamma, order):
             got[int(round(a.imag)) + kmax] += c
         scale = np.sum(np.abs(ref[n]))
         assert np.max(np.abs(got - ref[n])) <= 1e-14 * scale, n
+
+
+@pytest.mark.parametrize("gamma", [2.0, -2.0, -3.0, -6.0])
+def test_cubic_plane_wave_terms_are_correctly_rounded(gamma):
+    # term n of the cubic plane wave is ((g-1)i)^n/n! e^{ix}: one rounding
+    sol = adm_series(PLANE_1, Equation.full_nls(gamma), 40)
+    for n in range(41):
+        value = Fraction(int(gamma) - 1) ** n / math.factorial(n)
+        re, im = [(value, 0), (0, value), (-value, 0), (0, -value)][n % 4]
+        assert monomial_coeff(sol, n).terms == ((complex(float(re), float(im)), 1j),), n
+
+
+def trinomial_cubic_oracle(u0, gamma, order):
+    """Cubic-NLS terms in exact rationals, with the O(n^3) triple sum.
+
+    Modes and coefficients are (re, im) pairs of Fractions; term n+1 is
+    i (a^2 w_n + g sum_{i+j+k=n} w_i w_j conj(w_k)) / (n+1), summed triple
+    by triple with no pair cache and no binomial grouping, then rounded.
+    """
+    g = Fraction(gamma)
+    ws = [{(Fraction(a.real), Fraction(a.imag)): (Fraction(c.real), Fraction(c.imag)) for c, a in u0.terms}]
+    for n in range(order):
+        # a^2 c for a = ar + i ai
+        rhs = {
+            (ar, ai): ((ar * ar - ai * ai) * cr - 2 * ar * ai * ci, (ar * ar - ai * ai) * ci + 2 * ar * ai * cr)
+            for (ar, ai), (cr, ci) in ws[n].items()
+        }
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                triple = lattice_product(lattice_product(ws[i], ws[j]), lattice_conj(ws[n - i - j]))
+                lattice_add(rhs, triple, g)
+        ws.append({a: (-im / (n + 1), re / (n + 1)) for a, (re, im) in rhs.items()})
+    return [
+        ExpSum(tuple(
+            (complex(float(re), float(im)), complex(float(ar), float(ai)))
+            for (ar, ai), (re, im) in w.items()
+        ))
+        for w in ws
+    ]
+
+
+dyadic = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    axis=st.sampled_from([1j, 1.0]),
+    modes=st.dictionaries(st.integers(-3, 3), st.tuples(dyadic, dyadic), min_size=1, max_size=3),
+    gamma=st.integers(-12, 12).map(lambda k: k / 2),
+    order=st.integers(0, 8),
+)
+def test_cubic_terms_equal_rounded_exact_trinomial_sums(axis, modes, gamma, order):
+    # modes k/2 on the imaginary (periodic) or the real axis
+    u0 = ExpSum(tuple((complex(*c), axis * k / 2) for k, c in modes.items()))
+    sol = adm_series(u0, Equation.full_nls(gamma), order)
+    oracle = trinomial_cubic_oracle(u0, gamma, order)
+    for n in range(order + 1):
+        assert monomial_coeff(sol, n).terms == oracle[n].terms, n
