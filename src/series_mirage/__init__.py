@@ -2,10 +2,11 @@
 
 The package generates homotopy-perturbation, Adomian-decomposition and plain
 Taylor series for u_t + i u_xx = 0, the cubic equation
-i u_t + u_xx + g |u|^2 u = 0 and its unit-modulus linear reduction, verifies
-term by term that the three constructions produce the same truncated
-exponential expansion, and measures where such expansions are accurate using
-independent closed-form, spectral-grid and eigenexpansion reference solvers.
+i u_t + u_xx + g |u|^2 u = 0 and its unit-modulus linear reduction, builds
+all three with one exact recursion for the Taylor series of the solution,
+checks its terms against the exactly computed series of the closed form, and
+measures where such expansions are accurate using independent closed-form,
+spectral-grid and eigenexpansion reference solvers.
 """
 
 __version__ = "0.1.0"
@@ -31,7 +32,13 @@ from .methods import (
     series_residual,
     taylor_series,
 )
-from .exact import ExactEvaluator, exact_linear, exact_reduced_nls, remainder_closed_form
+from .exact import (
+    ExactEvaluator,
+    closed_form_terms,
+    exact_linear,
+    exact_reduced_nls,
+    remainder_closed_form,
+)
 from .grid import (
     Grid,
     GridState,
@@ -82,6 +89,7 @@ __all__ = [
     "series_residual",
     "taylor_series",
     "ExactEvaluator",
+    "closed_form_terms",
     "exact_linear",
     "exact_reduced_nls",
     "remainder_closed_form",

@@ -48,7 +48,7 @@ from .errors import (
     SeriesMirageError,
     UnsupportedEquationError,
 )
-from .exact import exact_linear, exact_reduced_nls, remainder_closed_form
+from .exact import closed_form_terms, exact_linear, exact_reduced_nls, remainder_closed_form
 from .expsum import MAX_T_DEGREE, ExpSum, tpoly_diff
 from .grid import (
     Grid,
@@ -72,7 +72,7 @@ class CrossCheckError(SeriesMirageError, AssertionError):
     """An internal consistency check between two computation routes failed."""
 
 
-#: methods must agree to this coefficientwise tolerance or the run aborts
+#: every method must match the closed form to this coefficientwise tolerance or the run aborts
 CROSS_CHECK_TOL = 1e-12
 
 #: largest ``operator`` size; laplacian_dirichlet builds dense n x n arrays (165 MiB at 2048)
@@ -300,17 +300,19 @@ def _run_series(cfg: ExperimentConfig, out: Path) -> list[str]:
     methods = ["hpm", "adm", "taylor"] if cfg["method"] == "all" else [cfg["method"]]
     solutions = {m: generators[m](u0, eq_for[m], cfg["order"]) for m in methods}
 
-    # every term must agree to CROSS_CHECK_TOL both absolutely and relative
-    # to the sum of its coefficient magnitudes
-    names = list(solutions)
-    for other in names[1:]:
-        for n, (p, q) in enumerate(zip(solutions[names[0]].terms, solutions[other].terms)):
+    # every term of every method must match the exact closed form of its
+    # equation to CROSS_CHECK_TOL, both absolutely and relative to the sum of
+    # the closed-form term's coefficient magnitudes
+    eqs = dict.fromkeys(eq_for[m] for m in solutions)  # one oracle per equation
+    oracles = {eq: closed_form_terms(u0, eq, cfg["order"]) for eq in eqs}
+    for name, sol in solutions.items():
+        for n, (p, q) in enumerate(zip(sol.terms, oracles[eq_for[name]])):
             diff = tpoly_diff(p, q)
-            size = sum(abs(c) for w in p.coeffs for c, _ in w.terms)
+            size = sum(abs(c) for w in q.coeffs for c, _ in w.terms)
             if diff > CROSS_CHECK_TOL * min(1.0, size):
                 raise CrossCheckError(
-                    f"{names[0]} and {other} series disagree at term {n}: coefficient "
-                    f"difference {diff:.3e} exceeds {CROSS_CHECK_TOL} or "
+                    f"{name} series and the closed form disagree at term {n}: "
+                    f"coefficient difference {diff:.3e} exceeds {CROSS_CHECK_TOL} or "
                     f"{CROSS_CHECK_TOL} x {size:.3e}, the term's size"
                 )
 

@@ -1,4 +1,4 @@
-"""Closed-form reference solutions and the factorial truncation bound."""
+"""Closed-form reference solutions, their exact series and the factorial truncation bound."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import EvaluationOverflowError, InvalidInputError
-from .expsum import ExpSum
-from .methods import Equation
+from .errors import EvaluationOverflowError, InvalidInputError, UnsupportedEquationError
+from .expsum import MAX_T_DEGREE, ExpSum, TimePoly
+from .methods import Equation, EquationKind
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,45 @@ def exact_reduced_nls(alpha: float, gamma: float) -> ExactEvaluator:
         equations=(Equation.reduced_nls(gamma), Equation.full_nls(gamma)),
         fn=fn,
     )
+
+
+def closed_form_terms(u0: ExpSum, eq: Equation, order: int) -> tuple[TimePoly, ...]:
+    """Terms u_0..u_order of the closed form's Taylor series in t, exactly.
+
+    Mode c e^{ax} of u0 evolves alone as c e^{lam t} e^{ax}, with lam = -i a^2
+    (LINEAR), i (a^2 + g) (REDUCED_NLS) or, when u0 is one plane wave of
+    constant modulus |c| (a purely imaginary), i (a^2 + g |c|^2) (FULL_NLS);
+    other cubic data raise UnsupportedEquationError.  Term n,
+    sum_j c_j lam_j^n/n! e^{a_j x} t^n, is computed in rationals and rounded
+    once, sharing no code with the recursion of :mod:`~series_mirage.methods`,
+    whose terms must equal these bit for bit.
+    """
+    from fractions import Fraction  # imported here: nothing else in the package loads it
+
+    if not isinstance(order, int) or isinstance(order, bool) or not 0 <= order <= MAX_T_DEGREE:
+        raise InvalidInputError(f"order must be an integer in [0, {MAX_T_DEGREE}], got {order!r}")
+    kind = eq.kind
+    if kind is EquationKind.FULL_NLS and (len(u0.terms) > 1 or any(a.real for _, a in u0.terms)):
+        raise UnsupportedEquationError("the cubic closed form needs one plane wave c e^{ikx}")
+    modes = []  # (c lam^n/n!, lam, a) per mode, complex rationals as (re, im)
+    for c, a in u0.terms:
+        cr, ci, ar, ai = map(Fraction, (c.real, c.imag, a.real, a.imag))
+        if kind is EquationKind.LINEAR:
+            lam = (2 * ar * ai, ai * ai - ar * ar)  # -i a^2
+        else:  # i (a^2 + g), with g |c|^2 for the cubic plane wave
+            g = Fraction(eq.gamma) * (1 if kind is EquationKind.REDUCED_NLS else cr * cr + ci * ci)
+            lam = (-2 * ar * ai, ar * ar - ai * ai + g)
+        modes.append(((cr, ci), lam, a))
+    terms = []
+    for n in range(order + 1):
+        try:
+            w = ExpSum(tuple((complex(float(zr), float(zi)), a) for (zr, zi), _, a in modes))
+        except OverflowError as exc:
+            raise EvaluationOverflowError(f"closed-form term {n} leaves the float range") from exc
+        terms.append(TimePoly.from_expsum(w, n))
+        modes = [(((zr * lr - zi * li) / (n + 1), (zr * li + zi * lr) / (n + 1)), (lr, li), a)
+                 for (zr, zi), (lr, li), a in modes]
+    return tuple(terms)
 
 
 def remainder_closed_form(b: float, amplitude: float, order: int, t: float) -> float:

@@ -180,6 +180,8 @@ class ExpSum:
 
 def expsum_diff(a: ExpSum, b: ExpSum) -> float:
     """Largest coefficient magnitude of ``a - b`` after exponent alignment."""
+    if a == b:  # every coefficient of a - b cancels exactly
+        return 0.0
     return max((abs(c) for c, _ in (a - b).terms), default=0.0)
 
 

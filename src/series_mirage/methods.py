@@ -6,47 +6,37 @@ Equations (g is the cubic coupling):
     REDUCED_NLS   i u_t + u_xx + g u = 0           (constant-coefficient linear)
     FULL_NLS      i u_t + u_xx + g |u|^2 u = 0     (cubic)
 
-All generators expand u = sum_n u_n with u_0 equal to the initial condition.
-Every term is a t-monomial u_n = w_n(x) t^n, so the recursions run on the
-coefficients w_n (float :class:`~series_mirage.expsum.ExpSum` values for the
-linear kinds, exact Gaussian integers for FULL_NLS) and wrap each one as a
-:class:`~series_mirage.expsum.TimePoly` only at the end.
+Each generator expands u = sum_n u_n, u_0 the initial condition, and every
+term is a t-monomial u_n = w_n(x) t^n.  Homotopy perturbation
+(:func:`hpm_series`: u_{n+1} = I[F(u_n)] for u_t = F(u), I the time integral
+from 0), Adomian decomposition (:func:`adm_series`: the same, with the cubic
+term expanded in Adomian polynomials, whose t^n coefficient is
+a_n = sum_{i+j+k=n} w_i w_j conj(w_k)) and the plain Taylor series
+(:func:`taylor_series`: t^n/n! (d/dt)^n u|_0, the equation substituted for
+every time derivative) all give
 
-* :func:`hpm_series` is the homotopy-perturbation construction with linear
-  part d/dt and initial guess u(x,0).  Matching powers of the embedding
-  parameter collapses to u_{n+1} = I[ F(u_n) ], with F the right-hand side
-  of u_t = F(u) and I the definite time integral from 0 to t.  Since
-  I[w t^n] = w t^{n+1}/(n+1), on the coefficients this reads
+    w_{n+1} = -i w_n'' / (n+1)               (LINEAR)
+    w_{n+1} =  i (w_n'' + g w_n) / (n+1)     (REDUCED_NLS)
+    w_{n+1} =  i (w_n'' + g a_n) / (n+1)     (FULL_NLS, ADM only)
 
-      w_{n+1} = -i w_n'' / (n+1)               (LINEAR)
-      w_{n+1} =  i (w_n'' + g w_n) / (n+1)     (REDUCED_NLS)
+so the three are labels on one exact recursion, checked independently by
+:func:`~series_mirage.exact.closed_form_terms`.  Every float is a dyadic
+rational: with u0 = sum_K V_0[K]/D e^{K x / 2^E} (K a Gaussian integer, D
+and 2^E powers of two), g = g_num/g_den (0/1 for LINEAR), lin = g_den D^2
+(g_den for the linear kinds) and q = 4^E lin, the scaled coefficients
+V_n = q^n n! D w_n are Gaussian integers on the lattice modes K with
 
-* :func:`adm_series` applies the inverse operator I to the same right-hand
-  sides; the two methods coincide term by term for the linear kinds.  For
-  FULL_NLS the cubic term is expanded in the Adomian polynomials, whose t^n
-  coefficient is a_n = sum_{i+j+k=n} w_i w_j conj(w_k), giving
-  w_{n+1} = i (w_n'' + g a_n) / (n+1).  This recursion runs in exact
-  Gaussian-integer arithmetic.  Every float is a dyadic rational, so with
-  u0 = sum_K V_0[K]/D e^{K x / 2^E} (K a Gaussian integer, D and 2^E powers
-  of two), g = g_num/g_den and q = 4^E g_den D^2, the scaled coefficients
-  V_n = q^n n! D w_n are Gaussian integers on the lattice modes K and obey
+    V_{n+1} = s i (lin K^2 V_n + 4^E g_num X_n)      (s = -1 for LINEAR, else 1)
+    X_n     = V_n                                      (REDUCED_NLS)
+    X_n     = sum_m C(n,m) B_m conj(V_{n-m}),  B_m = sum_i C(m,i) V_i V_{m-i}
+                                                       (FULL_NLS)
 
-      V_{n+1} = i (g_den D^2 K^2 V_n + 4^E g_num sum_m C(n,m) B_m conj(V_{n-m}))
-      B_m     = sum_i C(m,i) V_i V_{m-i}
-
-  (:func:`adomian_cubic` computes the sum over m and caches the pair sums
-  B_m across orders).  Modes merge by key equality and nothing is dropped
-  inside the recursion; each coefficient of w_n is rounded to float once,
-  correctly, and the rounded term is an ordinary canonical ExpSum.
-* :func:`taylor_series` computes the plain Taylor terms t^j/j! (d/dt)^j u|_0
-  by substituting the equation for every time derivative.  For the linear
-  kinds each method performs the same elementary coefficient operations, so
-  the three truncated series are one and the same Taylor polynomial of the
-  exponential exact solution; this generator serves as the oracle the other
-  two are compared against.
-
-Every generator raises :class:`~series_mirage.errors.EvaluationOverflowError`,
-naming the term, when a coefficient leaves the double range.
+(:func:`adomian_cubic` forms the FULL_NLS X_n, caching the B_m across orders).
+Modes merge by key equality and nothing is dropped inside the recursion;
+each coefficient of w_n is rounded to float once, correctly, into a canonical
+:class:`~series_mirage.expsum.ExpSum`.  A coefficient that leaves the double
+range raises :class:`~series_mirage.errors.EvaluationOverflowError` naming
+the method and term.
 """
 
 from __future__ import annotations
@@ -124,32 +114,15 @@ def _check_order(n, hi: int = MAX_T_DEGREE, what: str = "series order", lo: int 
         raise InvalidInputError(f"{what} must be an integer in [{lo}, {hi}], got {n!r}")
 
 
-def _overflow(method: SeriesMethod, n: int, exc: Exception) -> EvaluationOverflowError:
-    return EvaluationOverflowError(
-        f"{method.value} series term {n} leaves the float range: {exc}"
-    )
-
-
 def _recursion(u0: ExpSum, eq: Equation, order: int, method: SeriesMethod) -> SeriesSolution:
-    # the float w_n recursions of the linear kinds; term n is w_n * t^n
-    ws = [u0]
-    try:
-        for n in range(order):
-            w = ws[n]
-            if eq.kind is EquationKind.LINEAR:
-                rhs = w.dx(2) * (-1j)
-            else:
-                rhs = (w.dx(2) + eq.gamma * w) * 1j
-            ws.append(rhs * (1.0 / (n + 1)))
-    except (InvalidInputError, OverflowError) as exc:
-        # u0 and g are finite, so a non-finite coefficient is an overflow
-        raise _overflow(method, n + 1, exc) from exc
-    terms = tuple(TimePoly.from_expsum(w, n) for n, w in enumerate(ws))
-    return SeriesSolution(terms, eq, method)
-
-
-def _cubic_recursion(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
     # the exact Gaussian-integer recursion of the module docstring
+    _check_order(order)
+    cubic = eq.kind is EquationKind.FULL_NLS
+    if cubic and method is not SeriesMethod.ADM:
+        raise UnsupportedEquationError(
+            f"{method.value}_series covers the linear and reduced equations only; "
+            "use adm_series for the full cubic equation"
+        )
     ratios = [
         (c.real.as_integer_ratio(), c.imag.as_integer_ratio(),
          a.real.as_integer_ratio(), a.imag.as_integer_ratio())
@@ -162,22 +135,25 @@ def _cubic_recursion(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
         (kr * (scale // kd), ki * (scale // ke)): (cr * (d // cd), ci * (d // ce))
         for (cr, cd), (ci, ce), (kr, kd), (ki, ke) in ratios
     }
-    g_num, g_den = eq.gamma.as_integer_ratio()
-    lin, cub = g_den * d * d, scale * scale * g_num
-    q = scale * scale * lin
+    if eq.kind is EquationKind.LINEAR:
+        g_num, g_den, sign = 0, 1, -1
+    else:
+        (g_num, g_den), sign = eq.gamma.as_integer_ratio(), 1
+    # the Adomian sum carries D^3 against the D of V_n, hence the D^2
+    lin = g_den * d * d if cubic else g_den
+    g4, q = scale * scale * g_num, scale * scale * lin
     vs, pairs, ws, den = [v0], [], [u0], d
     for n in range(order):
-        source = adomian_cubic(vs, pairs)
         v = {}
         for (kr, ki), (re, im) in vs[n].items():
-            # (K^2 V) for K = kr + i ki
+            # lin K^2 V for K = kr + i ki
             sr, si = lin * (kr * kr - ki * ki), lin * 2 * kr * ki
             v[kr, ki] = (sr * re - si * im, sr * im + si * re)
-        for key, (re, im) in source.items():
+        for key, (re, im) in (adomian_cubic(vs, pairs) if cubic else vs[n]).items():
             r0, i0 = v.get(key, (0, 0))
-            v[key] = (r0 + cub * re, i0 + cub * im)
-        # times i, dropping the modes that cancelled exactly
-        v = {key: (-im, re) for key, (re, im) in v.items() if re or im}
+            v[key] = (r0 + g4 * re, i0 + g4 * im)
+        # times s i, dropping the modes that cancelled exactly
+        v = {key: (-sign * im, sign * re) for key, (re, im) in v.items() if re or im}
         vs.append(v)
         den *= q * (n + 1)
         try:
@@ -185,39 +161,38 @@ def _cubic_recursion(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
                 (complex(re / den, im / den), complex(kr / scale, ki / scale))
                 for (kr, ki), (re, im) in v.items()
             )))
-        except (InvalidInputError, OverflowError) as exc:
-            raise _overflow(SeriesMethod.ADM, n + 1, exc) from exc
+        except (InvalidInputError, OverflowError) as exc:  # u0 and g are finite
+            raise EvaluationOverflowError(
+                f"{method.value} series term {n + 1} leaves the float range: {exc}"
+            ) from exc
     terms = tuple(TimePoly.from_expsum(w, n) for n, w in enumerate(ws))
-    return SeriesSolution(terms, eq, SeriesMethod.ADM)
+    return SeriesSolution(terms, eq, method)
 
 
 def hpm_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
     """Homotopy-perturbation series u_0..u_order for LINEAR or REDUCED_NLS.
 
-    The genuinely cubic equation is not covered: this package exercises the
-    homotopy construction only where the equation is linear (or reduced to
-    linear), and the Adomian generator owns the cubic path.
+    The Adomian generator owns the genuinely cubic equation.
     """
-    _check_order(order)
-    if eq.kind is EquationKind.FULL_NLS:
-        raise UnsupportedEquationError(
-            "hpm_series covers the linear and reduced equations only; "
-            "use adm_series for the full cubic equation"
-        )
     return _recursion(u0, eq, order, SeriesMethod.HPM)
 
 
 def adm_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
     """Adomian decomposition series u_0..u_order for any equation kind.
 
-    For LINEAR and REDUCED_NLS the recursion is identical to the homotopy
-    one.  For FULL_NLS it runs exactly on Gaussian integers, calling
-    :func:`adomian_cubic` once per order, and rounds each coefficient once.
+    For FULL_NLS the recursion calls :func:`adomian_cubic` once per order.
     """
-    _check_order(order)
-    if eq.kind is EquationKind.FULL_NLS:
-        return _cubic_recursion(u0, eq, order)
     return _recursion(u0, eq, order, SeriesMethod.ADM)
+
+
+def taylor_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
+    """Direct Taylor expansion u = sum_n t^n/n! (d/dt)^n u|_0, LINEAR or REDUCED_NLS.
+
+    Substituting the equation, (d/dt)^n u|_0 = (-i d_xx)^n u0 for LINEAR and
+    (i(d_xx+g))^n u0 for REDUCED_NLS: the same recursion, and the same
+    terms, as :func:`hpm_series` and :func:`adm_series`.
+    """
+    return _recursion(u0, eq, order, SeriesMethod.TAYLOR)
 
 
 _Lattice = dict[tuple[int, int], tuple[int, int]]
@@ -276,35 +251,6 @@ def adomian_cubic(vs: list[_Lattice], pairs: list[_Lattice] | None = None) -> _L
     for m in range(n + 1):
         _mul_add(total, pairs[m], vs[n - m], math.comb(n, m), True)
     return total
-
-
-def taylor_series(u0: ExpSum, eq: Equation, order: int) -> SeriesSolution:
-    """Direct Taylor expansion u = sum_j t^j/j! (d/dt)^j u|_0.
-
-    Time derivatives at t = 0 are obtained by substituting the equation:
-    (d/dt)^j u|_0 = (-i d_xx)^j u0 for LINEAR and (i(d_xx+g))^j u0 for
-    REDUCED_NLS.  The factorials are folded in incrementally, one floating
-    reciprocal per step.  For the full cubic equation there is no such
-    closed recursion here; the grid reference solver is the oracle there.
-    """
-    _check_order(order)
-    if eq.kind is EquationKind.FULL_NLS:
-        raise UnsupportedEquationError(
-            "taylor_series covers the linear and reduced equations only; "
-            "the grid reference solver is the oracle for the full equation"
-        )
-    w = u0
-    terms = [TimePoly.from_expsum(w)]
-    try:
-        for j in range(1, order + 1):
-            if eq.kind is EquationKind.LINEAR:
-                w = (w.dx(2) * (-1j)) * (1.0 / j)
-            else:
-                w = ((w.dx(2) + eq.gamma * w) * 1j) * (1.0 / j)
-            terms.append(TimePoly.from_expsum(w, power=j))
-    except (InvalidInputError, OverflowError) as exc:
-        raise _overflow(SeriesMethod.TAYLOR, j, exc) from exc
-    return SeriesSolution(tuple(terms), eq, SeriesMethod.TAYLOR)
 
 
 def _coefficient_values(sol: SeriesSolution, order: int, x: float) -> list[list[complex]]:

@@ -210,6 +210,24 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "cross-check" in err and "at term 20" in err
 
+    def test_single_method_cross_check_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        # one method alone is still checked, against the closed form
+        adm = cli.adm_series
+
+        def corrupted(u0, eq, order):
+            sol = adm(u0, eq, order)
+            broken = list(sol.terms)
+            broken[1] = TimePoly.from_expsum(broken[1].coeff(1) * 2.0, 1)
+            return type(sol)(tuple(broken), sol.equation, sol.method)
+
+        monkeypatch.setattr(cli, "adm_series", corrupted)
+        rc = main(["example3", "--method", "adm", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cross-check" in err and "adm series and the closed form" in err
+        assert "at term 1" in err
+        assert not (tmp_path / "terms.csv").exists()
+
     @pytest.mark.parametrize(
         "argv, term",
         [
@@ -273,6 +291,11 @@ class TestSeriesExperiments:
     def test_strong_defocusing_coupling_passes_cross_check(self, tmp_path, gamma):
         # float cancellation in the trinomial sum would put adm 7e-12..4e-7 off hpm
         assert main(["example4", "--gamma", gamma, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("gamma", ["1.000001", "1.001"])
+    def test_near_cancelling_coupling_passes_cross_check(self, tmp_path, gamma):
+        # a float w'' + g w would cancel to (g - 1) w and lose ~eps/|g - 1|
+        assert main(["example3", "--gamma", gamma, "--out", str(tmp_path)]) == 0
 
     def test_errors_table_has_bound_column(self, tmp_path):
         out = tmp_path / "e2"

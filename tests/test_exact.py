@@ -2,16 +2,29 @@
 
 import cmath
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from series_mirage.errors import EvaluationOverflowError, InvalidInputError
-from series_mirage.exact import exact_linear, exact_reduced_nls, remainder_closed_form
+from series_mirage.errors import (
+    EvaluationOverflowError,
+    InvalidInputError,
+    UnsupportedEquationError,
+)
+from series_mirage.exact import (
+    closed_form_terms,
+    exact_linear,
+    exact_reduced_nls,
+    remainder_closed_form,
+)
 from series_mirage.expsum import ExpSum
 from series_mirage.methods import (
     Equation,
     EquationKind,
     adm_series,
+    hpm_series,
     partial_sum_eval,
     taylor_series,
 )
@@ -183,3 +196,113 @@ class TestRemainderBound:
                 )
                 bound = remainder_closed_form(4.0, amplitude, order, t)
                 assert err <= bound + FLOAT_SLACK
+
+
+def generators_for(eq):
+    if eq.kind is EquationKind.FULL_NLS:
+        return (adm_series,)
+    return (hpm_series, adm_series, taylor_series)
+
+
+def assert_generators_equal_closed_form(u0, eq, order):
+    oracle = closed_form_terms(u0, eq, order)
+    assert len(oracle) == order + 1
+    for gen in generators_for(eq):
+        assert gen(u0, eq, order).terms == oracle, (gen.__name__, u0, eq)
+
+
+def acceptance_corpus():
+    """The seeded corpus of acceptance criterion 5, drawn the same way."""
+    rng = random.Random(2024)
+    lattice = [
+        0, 0.5, -0.5, 1, -1, 1.5, -2, 3,
+        0.5j, -1j, 2j, -3j, 1 + 1j, -1 + 0.5j, 0.5 - 2j, -1.5 - 1.5j,
+    ]
+    for trial in range(24):
+        u0 = ExpSum(
+            tuple(
+                (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), rng.choice(lattice))
+                for _ in range(rng.randint(1, 4))
+            )
+        )
+        eq = Equation.linear() if trial % 2 == 0 else Equation.reduced_nls(rng.choice([-2.0, 0.5, 2.0]))
+        yield u0, eq
+
+
+class TestClosedFormTerms:
+    def test_plane_wave_terms(self):
+        # e^{3ix} under the linear equation: term n is (9it)^n/n! e^{3ix}
+        terms = closed_form_terms(ExpSum.single(1, 3j), Equation.linear(), 3)
+        assert [t.coeff(n).terms for n, t in enumerate(terms)] == [
+            ((1 + 0j, 3j),), ((9j, 3j),), ((-40.5 + 0j, 3j),), ((-121.5j, 3j),),
+        ]
+
+    def test_cubic_plane_wave_uses_its_modulus(self):
+        # 2e^{ix}, g = 1: lam = i(-1 + 1 * 4) = 3i
+        terms = closed_form_terms(ExpSum.single(2, 1j), Equation.full_nls(1.0), 2)
+        assert terms[1].coeff(1).terms == ((6j, 1j),)
+        assert terms[2].coeff(2).terms == ((-9 + 0j, 1j),)
+
+    def test_zero_data(self):
+        for eq in (Equation.linear(), Equation.reduced_nls(1.0), Equation.full_nls(1.0)):
+            assert all(t.is_zero for t in closed_form_terms(ExpSum.zero(), eq, 4))
+
+    @pytest.mark.parametrize(
+        "u0",
+        [ExpSum(((1, 1j), (0.5, 2j))), ExpSum.single(1, 1.0), ExpSum.single(1, 1 + 1j)],
+    )
+    def test_cubic_data_without_constant_modulus_unsupported(self, u0):
+        with pytest.raises(UnsupportedEquationError):
+            closed_form_terms(u0, Equation.full_nls(2.0), 3)
+
+    @pytest.mark.parametrize("order", [-1, 65, 2.5, True])
+    def test_order_checked(self, order):
+        with pytest.raises(InvalidInputError):
+            closed_form_terms(ExpSum.single(1, 1j), Equation.linear(), order)
+
+    def test_overflow_names_the_term(self):
+        with pytest.raises(EvaluationOverflowError, match="closed-form term 2"):
+            closed_form_terms(ExpSum.single(1, 1j), Equation.reduced_nls(1e300), 2)
+
+    def test_generators_equal_closed_form_on_acceptance_corpus(self):
+        count = 0
+        for u0, eq in acceptance_corpus():
+            assert_generators_equal_closed_form(u0, eq, 24)
+            count += 1
+        assert count == 24
+
+    @pytest.mark.parametrize("gamma", [1.000001, 0.999999, 1.001])
+    def test_near_cancelling_reduced_couplings(self, gamma):
+        # i(a^2 + g) with a = i nearly cancels: the terms stay correctly rounded
+        assert_generators_equal_closed_form(ExpSum.single(1, 1j), Equation.reduced_nls(gamma), 30)
+
+
+dyadic = st.integers(-16, 16).map(lambda k: k / 8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    modes=st.lists(
+        st.tuples(st.tuples(dyadic, dyadic), st.tuples(dyadic, dyadic)), min_size=1, max_size=4
+    ),
+    gamma=st.one_of(st.none(), dyadic),
+    order=st.integers(0, 24),
+)
+def test_linear_kinds_equal_closed_form(modes, gamma, order):
+    # gamma None is the linear equation, a number the reduced one
+    u0 = ExpSum(tuple((complex(*c), complex(*a)) for c, a in modes))
+    eq = Equation.linear() if gamma is None else Equation.reduced_nls(gamma)
+    assert_generators_equal_closed_form(u0, eq, order)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.tuples(dyadic, dyadic).filter(lambda c: c[0] ** 2 + c[1] ** 2 not in (0.0, 1.0)),
+    k=dyadic,
+    gamma=dyadic,
+    order=st.integers(0, 30),
+)
+def test_cubic_plane_waves_equal_closed_form(c, k, gamma, order):
+    assert_generators_equal_closed_form(
+        ExpSum.single(complex(*c), 1j * k), Equation.full_nls(gamma), order
+    )
