@@ -1,25 +1,23 @@
-"""Exact algebra over finite complex-exponential sums and their t-polynomials.
+"""Finite complex-exponential sums: the rounded form of the exact series.
 
 ``ExpSum`` is a finite sum  sum_j c_j * exp(a_j * x)  with complex
-coefficients c_j and exponents a_j.  The family is closed under linear
-combination, products, x-differentiation and complex conjugation, so every
-quantity the series recursions in this package produce stays inside it and is
-represented exactly (up to float rounding of the coefficients).
+coefficients c_j and exponents a_j.  Users give initial data in this form,
+and the series generators of ``methods`` and ``exact`` build every term
+exactly and round each coefficient once into one.  Beyond that it carries
+only what the package evaluates and compares: scalar multiples, sums and
+differences, x-derivatives, pointwise evaluation and a JSON-ready form.
 
 ``TimePoly`` is a polynomial in a real time variable t whose coefficients are
 ``ExpSum`` values: the form in which series terms are stored, evaluated and
-serialized.  The recursions themselves run on ``ExpSum`` coefficients.
+serialized.
 
-Canonical form, maintained by the constructors:
+Canonical form, maintained by the constructor:
 
-* exponents that agree componentwise to ``ALPHA_MATCH_TOL`` denote the same
-  exponential and are merged by adding coefficients (exponents only arise
-  from user input and exact closure operations, so near-collisions indicate
-  intended equality);
-* coefficients below ``COEFF_DROP_REL`` times the largest magnitude in the
-  sum are rounding noise from repeated products and are dropped, as are exact
-  zeros (the cubic series is built exactly in ``methods``; only its rounded
-  terms pass through here);
+* exponents that are equal as complex numbers are merged by adding their
+  coefficients in input order; distinct exponents stay distinct however
+  close they are;
+* exact zeros are dropped, and nothing else: a coefficient is kept however
+  small it is beside the others, so a rounded exact series keeps every mode;
 * terms are sorted by ``(Re a, Im a)``, which makes serialization and CSV
   output deterministic.
 """
@@ -31,12 +29,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import EvaluationOverflowError, InvalidInputError
-
-#: exponents closer than this, componentwise, denote the same exponential
-ALPHA_MATCH_TOL = 1e-12
-
-#: relative coefficient magnitude below which a term is rounding noise
-COEFF_DROP_REL = 1e-15
 
 #: hard cap on polynomial degree in t, and hence on series truncation order;
 #: (b*t)^n/n! is far below double rounding well before n = 64 at desk scale
@@ -51,28 +43,13 @@ def _require_finite(z, what: str) -> complex:
 
 
 def _canonical(raw) -> tuple[tuple[complex, complex], ...]:
-    pairs = []
+    merged: dict[complex, complex] = {}
     for coeff, alpha in raw:
         c = _require_finite(coeff, "coefficient")
         a = _require_finite(alpha, "exponent")
-        pairs.append((a, c))
-    pairs.sort(key=lambda p: (p[0].real, p[0].imag))
-    merged: list[tuple[complex, complex]] = []
-    for a, c in pairs:
-        if merged:
-            ra, rc = merged[-1]
-            if (
-                abs(a.real - ra.real) <= ALPHA_MATCH_TOL
-                and abs(a.imag - ra.imag) <= ALPHA_MATCH_TOL
-            ):
-                merged[-1] = (ra, rc + c)
-                continue
-        merged.append((a, c))
-    cmax = max((abs(c) for _, c in merged), default=0.0)
-    if cmax == 0.0:
-        return ()
-    floor = COEFF_DROP_REL * cmax
-    return tuple((c, a) for a, c in merged if abs(c) >= floor)
+        merged[a] = merged[a] + c if a in merged else c
+    pairs = sorted(merged.items(), key=lambda p: (p[0].real, p[0].imag))
+    return tuple((c, a) for a, c in pairs if c)
 
 
 @dataclass(frozen=True)
@@ -80,8 +57,8 @@ class ExpSum:
     """Canonical finite sum of terms ``coeff * exp(alpha * x)``.
 
     ``terms`` is a tuple of ``(coeff, alpha)`` pairs; any iterable of such
-    pairs may be passed to the constructor, which canonicalizes it (merges
-    matching exponents, drops negligible coefficients, sorts).
+    pairs may be passed to the constructor, which canonicalizes it: equal
+    exponents merge, exact zeros drop, and the terms are sorted.
     """
 
     terms: tuple[tuple[complex, complex], ...] = ()
@@ -115,22 +92,11 @@ class ExpSum:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, ExpSum):
-            return ExpSum(
-                tuple(
-                    (ca * cb, aa + ab)
-                    for ca, aa in self.terms
-                    for cb, ab in other.terms
-                )
-            )
+        """Multiple by a finite scalar; sums are not multiplied together."""
         s = _require_finite(other, "scalar factor")
         return ExpSum(tuple((c * s, a) for c, a in self.terms))
 
     __rmul__ = __mul__
-
-    def conj(self) -> "ExpSum":
-        """Complex conjugate; maps (c, a) to (conj(c), conj(a))."""
-        return ExpSum(tuple((c.conjugate(), a.conjugate()) for c, a in self.terms))
 
     def dx(self, order: int = 1) -> "ExpSum":
         """Derivative in x of the given order (0 is the identity)."""
@@ -165,17 +131,6 @@ class ExpSum:
             {"re_c": c.real, "im_c": c.imag, "re_a": a.real, "im_a": a.imag}
             for c, a in self.terms
         ]
-
-    @classmethod
-    def from_json(cls, obj) -> "ExpSum":
-        try:
-            terms = tuple(
-                (complex(d["re_c"], d["im_c"]), complex(d["re_a"], d["im_a"]))
-                for d in obj
-            )
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"malformed serialized exponential sum: {exc}") from exc
-        return cls(terms)
 
 
 def expsum_diff(a: ExpSum, b: ExpSum) -> float:
@@ -234,10 +189,6 @@ class TimePoly:
     def to_json(self) -> list[list[dict[str, float]]]:
         """JSON-ready form: one ExpSum array per power of t."""
         return [c.to_json() for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, obj) -> "TimePoly":
-        return cls(tuple(ExpSum.from_json(entry) for entry in obj))
 
 
 def tpoly_diff(p: TimePoly, q: TimePoly) -> float:

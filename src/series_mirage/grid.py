@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError
+from .errors import DivergenceError, EvaluationOverflowError, InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,16 @@ def free_propagate_spectral(state: GridState, t: float) -> GridState:
 
     Mode e^{ikx} evolves as e^{ikx - i(ik)^2 t} = e^{ikx + i k^2 t}, so each
     Fourier coefficient is multiplied by the unit factor e^{+i k^2 t}; the
-    map is unitary and exact for anything the grid represents.
+    map is unitary and exact for anything the grid represents.  A time so
+    large that k^2 t leaves the double range raises EvaluationOverflowError.
     """
     if not math.isfinite(t):
         raise InvalidInputError(f"propagation time must be finite, got {t!r}")
     k = state.grid.wavenumbers
-    phase = np.exp(1j * (k * k) * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(1j * (k * k) * t)
+    if not np.all(np.isfinite(phase)):
+        raise EvaluationOverflowError(f"phase k^2 t overflows at t={t!r}")
     vhat = np.fft.fft(state.values)
     return GridState(state.grid, np.fft.ifft(vhat * phase), state.time + t)
 

@@ -1,5 +1,6 @@
 """Tests for the experiment driver: config resolution, outputs, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -256,6 +257,13 @@ class TestMainExitCodes:
         assert main(argv + ["--out", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_free_propagation_phase_overflow_exits_three(self, tmp_path, capsys):
+        # k^2 t overflows at t = 1e308; at t = 1e200 the phase is still finite
+        assert main(["gaussian-free", "--t", "1e308", "--out", str(tmp_path / "a")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "k^2 t" in err and "Traceback" not in err
+        assert main(["gaussian-free", "--t", "1e200", "--out", str(tmp_path / "b")]) == 0
+
     def test_tail_bound_amplitude_overflow_exits_three(self, tmp_path, capsys):
         # example1's 2cosh(2x) overflows at x = 400
         f = tmp_path / "run.json"
@@ -350,3 +358,22 @@ class TestOtherExperiments:
         monkeypatch.setenv(cli.ENV_OUT, str(tmp_path / "envout"))
         assert main(["classify"]) == 0
         assert (tmp_path / "envout" / "classification.csv").exists()
+
+
+#: sha256 of the outputs that are correctly rounded pure Python, hence the same
+#: on every platform; errors.csv and state.csv depend on libm and the FFT and
+#: are left out
+PINNED_SHA256 = {
+    ("example1", "terms.csv"): "e66fd6c3b6d51fc9d673c89ef90d4151220987734737fff9ed9a39aada0c334c",
+    ("example2", "terms.csv"): "63985cda4d8d0479cc7b91ba469a4d9ba84b3250d0be7d6ab2c403b79583d19d",
+    ("example3", "terms.csv"): "c2f653529686a5eb7abc3f41894d8903b40a8d9824f304b415490d966564cf96",
+    ("example4", "terms.csv"): "ac5ad31c038ba75b15d69971127ee2390244c893dc76a651647de36edb9d9325",
+    ("classify", "classification.csv"): "bc81ac472a4dc1301c919345e58af7a2ae1b8ab8179f3074131f2ee2702371a3",
+}
+
+
+@pytest.mark.parametrize("experiment, name", sorted(PINNED_SHA256))
+def test_default_outputs_are_byte_identical_to_pinned(tmp_path, experiment, name):
+    assert main([experiment, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest == PINNED_SHA256[experiment, name]

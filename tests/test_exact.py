@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -270,6 +271,18 @@ class TestClosedFormTerms:
             assert_generators_equal_closed_form(u0, eq, 24)
             count += 1
         assert count == 24
+
+    def test_small_modes_are_kept(self):
+        # e^{3x} + e^{x/8}: the e^{x/8} coefficient of term n is (1/576)^n
+        # times the e^{3x} one, below 1e-15 of it from n = 6 on, and kept
+        u0 = ExpSum(((1, 3), (1, 0.125)))
+        oracle = closed_form_terms(u0, Equation.linear(), 12)
+        assert hpm_series(u0, Equation.linear(), 12).terms == oracle
+        for n, term in enumerate(oracle):
+            assert [a for _, a in term.coeff(n).terms] == [0.125 + 0j, 3 + 0j]
+            # (-i a^2)^n / n! with a = 1/8, one rounding; (-i)^n cycles
+            small = Fraction(1, 64**n * math.factorial(n))
+            assert term.coeff(n).terms[0][0] == (1, -1j, -1, 1j)[n % 4] * float(small)
 
     @pytest.mark.parametrize("gamma", [1.000001, 0.999999, 1.001])
     def test_near_cancelling_reduced_couplings(self, gamma):

@@ -1,9 +1,7 @@
-"""Tests for the exponential-sum and time-polynomial algebra."""
+"""Tests for exponential sums, their canonical form and time polynomials."""
 
-import cmath
 import json
 import math
-import random
 
 import pytest
 
@@ -16,16 +14,6 @@ def single(c, a):
 
 
 COSH_SUM = ExpSum(((1, 0), (1, 2), (1, -2)))  # 1 + 2cosh(2x)
-
-
-def brute_product(a: ExpSum, b: ExpSum) -> dict:
-    """Independent product oracle: expand term pairs into an exponent dict."""
-    acc = {}
-    for ca, aa in a.terms:
-        for cb, ab in b.terms:
-            key = aa + ab
-            acc[key] = acc.get(key, 0j) + ca * cb
-    return {k: v for k, v in acc.items() if abs(v) > 1e-14}
 
 
 class TestCanonicalization:
@@ -44,10 +32,15 @@ class TestCanonicalization:
     def test_cancellation_gives_zero(self):
         assert ExpSum(((1, 3j), (-1, 3j))).is_zero
 
-    def test_nearby_exponents_merge(self):
+    def test_nearby_exponents_stay_distinct(self):
+        # only equal exponents merge; a near-collision is two modes
         s = ExpSum(((1, 1 + 1e-13), (1, 1)))
-        assert len(s.terms) == 1
-        assert s.terms[0][0] == 2 + 0j
+        assert s.terms == ((1 + 0j, 1 + 0j), (1 + 0j, 1 + 1e-13 + 0j))
+
+    def test_signed_zero_exponents_merge(self):
+        # 0.0 and -0.0 are equal as complex numbers; the first one is kept
+        s = ExpSum(((1, complex(0.0, -0.0)), (2, 0j)))
+        assert s.terms == ((3 + 0j, complex(0.0, -0.0)),)
 
     def test_sorted_by_re_then_im(self):
         s = ExpSum(((1, 1j), (1, -1j), (1, -1)))
@@ -64,9 +57,12 @@ class TestCanonicalization:
         with pytest.raises(InvalidInputError):
             ExpSum(((1, complex(0, float("inf"))),))
 
-    def test_tiny_relative_coefficients_dropped(self):
+    def test_tiny_relative_coefficients_kept(self):
+        # no magnitude cut: only exact zeros drop
         s = ExpSum(((1.0, 0), (1e-16, 1)))
-        assert len(s.terms) == 1
+        assert s.terms == ((1 + 0j, 0j), (1e-16 + 0j, 1 + 0j))
+        s = ExpSum(((5e-324j, 2), (0j, 3), (-0.0, 4), (1e300, 5)))
+        assert s.terms == ((5e-324j, 2 + 0j), (1e300 + 0j, 5 + 0j))
 
 
 class TestArithmetic:
@@ -86,32 +82,13 @@ class TestArithmetic:
         with pytest.raises(InvalidInputError):
             single(1, 0) * float("inf") + ExpSum.zero() * 0
 
-    def test_mul_inverse_exponents(self):
-        out = single(1, 2) * single(1, -2)
-        assert out.terms == ((1 + 0j, 0j),)
+    def test_sums_do_not_multiply(self):
+        with pytest.raises(TypeError):
+            single(1, 2) * single(1, -2)
 
-    def test_mul_same_exponents(self):
-        out = single(1, 1j) * single(1, 1j)
-        assert out.terms == ((1 + 0j, 2j),)
-
-    def test_mul_matches_brute_force(self):
-        a = ExpSum(((1, 0), (1, 2)))
-        b = ExpSum(((1, 0), (1, -2)))
-        out = a * b
-        expect = brute_product(a, b)  # {0: 2, 2: 1, -2: 1}
-        assert len(out.terms) == len(expect)
-        for c, alpha in out.terms:
-            assert abs(c - expect[alpha]) < 1e-14
-
-    def test_conj_plane_wave(self):
-        assert single(1, 3j).conj().terms == ((1 - 0j, -3j),)
-
-    def test_conj_real_exponent_fixed(self):
-        assert single(1, 2).conj() == single(1, 2)
-
-    def test_conj_generic(self):
-        out = single(1 + 1j, 1 + 1j).conj()
-        assert out.terms == ((1 - 1j, 1 - 1j),)
+    def test_diff_counts_nearby_modes_in_full(self):
+        assert expsum_diff(single(1, 1), single(1 + 2**-40, 1)) == 2**-40
+        assert expsum_diff(single(1, 1), single(1, 1 + 1e-13)) == 1.0
 
 
 class TestDerivativeAndEval:
@@ -150,45 +127,6 @@ class TestDerivativeAndEval:
 
 
 class TestProperties:
-    def test_ring_laws_on_lattice(self):
-        rng = random.Random(1905)
-        lattice = [0, 1, -1, 2, -2, 1j, -1j, 2j, 1 + 1j, -1 + 2j]
-
-        def rand_sum():
-            k = rng.randint(1, 4)
-            return ExpSum(
-                tuple(
-                    (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), rng.choice(lattice))
-                    for _ in range(k)
-                )
-            )
-
-        for _ in range(40):
-            a, b, c = rand_sum(), rand_sum(), rand_sum()
-            assert expsum_diff(a * b, b * a) <= 1e-13
-            assert expsum_diff(a * (b + c), a * b + a * c) <= 1e-13
-
-    def test_conj_involution_exact(self):
-        s = ExpSum(((1 + 2j, 0.5 - 1j), (0.25j, -1 + 3j)))
-        assert s.conj().conj() == s
-
-    def test_conj_distributes_over_product(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            a = ExpSum(
-                tuple(
-                    (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), complex(rng.randint(-2, 2), rng.randint(-2, 2)))
-                    for _ in range(3)
-                )
-            )
-            b = ExpSum(
-                tuple(
-                    (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), complex(rng.randint(-2, 2), rng.randint(-2, 2)))
-                    for _ in range(2)
-                )
-            )
-            assert expsum_diff((a * b).conj(), a.conj() * b.conj()) <= 1e-13
-
     def test_derivative_matches_finite_difference(self):
         s = ExpSum(((1, 2), (0.5, -1 + 3j), (2j, 4j)))  # |alpha| <= 4
         h = 1e-5
@@ -230,19 +168,24 @@ class TestTimePoly:
 
 
 class TestSerialization:
-    def test_expsum_round_trip(self):
+    def test_expsum_to_json_values(self):
         s = ExpSum(((0.1 + 0.2j, -1.5 + 2j), (3, 0), (1e-7j, 4j)))
-        blob = json.dumps(s.to_json())
-        back = ExpSum.from_json(json.loads(blob))
-        assert expsum_diff(s, back) <= 1e-15
-        assert back == s  # repr round-trip is exact
+        assert s.to_json() == [
+            {"re_c": 0.1, "im_c": 0.2, "re_a": -1.5, "im_a": 2.0},
+            {"re_c": 3.0, "im_c": 0.0, "re_a": 0.0, "im_a": 0.0},
+            {"re_c": 0.0, "im_c": 1e-7, "re_a": 0.0, "im_a": 4.0},
+        ]
+        assert ExpSum.zero().to_json() == []
+        json.dumps(s.to_json())  # plain floats only
 
-    def test_tpoly_round_trip(self):
-        p = TimePoly((COSH_SUM, single(2j, 1), ExpSum.zero(), single(-0.25, 1j)))
-        blob = json.dumps(p.to_json())
-        back = TimePoly.from_json(json.loads(blob))
-        assert tpoly_diff(p, back) <= 1e-15
-
-    def test_malformed_json_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ExpSum.from_json([{"re_c": 1.0}])
+    def test_tpoly_to_json_values(self):
+        # one array per power of t, empty for a zero coefficient
+        p = TimePoly((single(2j, 1), ExpSum.zero(), single(-0.25, 1j)))
+        assert p.to_json() == [
+            [{"re_c": 0.0, "im_c": 2.0, "re_a": 1.0, "im_a": 0.0}],
+            [],
+            [{"re_c": -0.25, "im_c": 0.0, "re_a": 0.0, "im_a": 1.0}],
+        ]
+        assert TimePoly.from_expsum(single(1, 0), power=2).to_json() == [
+            [], [], [{"re_c": 1.0, "im_c": 0.0, "re_a": 0.0, "im_a": 0.0}],
+        ]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from series_mirage import cli
-from series_mirage.errors import DivergenceError, InvalidInputError
+from series_mirage.errors import DivergenceError, EvaluationOverflowError, InvalidInputError
 from series_mirage.exact import exact_linear, exact_reduced_nls, remainder_closed_form
 from series_mirage.expsum import ExpSum
 from series_mirage.grid import (
@@ -130,6 +130,12 @@ class TestFreePropagation:
         out = free_propagate_spectral(st, t)
         ref = sample(small_grid, lambda x: ev(x, t))
         assert sup_error(out, ref) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1e308, -1e308])
+    def test_phase_overflow_raises(self, packet_state, t):
+        # k^2 t leaves the double range for the largest grid wavenumbers
+        with pytest.raises(EvaluationOverflowError, match=r"k\^2 t"):
+            free_propagate_spectral(packet_state, t)
 
 
 class TestSplitStep:

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from series_mirage.errors import InvalidInputError, UnsupportedEquationError
 from series_mirage.expsum import ExpSum, TimePoly, expsum_diff, tpoly_diff
+from series_mirage.grid import Grid, GridState, split_step_nls
 from series_mirage.methods import (
     Equation,
     SeriesMethod,
+    _mul_add,
     adm_series,
     adomian_cubic,
     hpm_series,
@@ -192,6 +194,63 @@ class TestAdomianPolynomials:
         a = adomian_cubic(vs)
         a_scaled = adomian_cubic([{k: (lam * re, lam * im) for k, (re, im) in v.items()} for v in vs])
         assert a_scaled == {k: (lam**3 * re, lam**3 * im) for k, (re, im) in a.items()}
+
+
+lattice_dicts = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70)),
+    max_size=4,
+)
+
+
+def mul_add_product(a, b, conj=False, weight=1):
+    """weight * a * b (or a * conj(b)) through the library's _mul_add."""
+    acc = {}
+    _mul_add(acc, a, b, weight, conj)
+    return nonzero(acc)
+
+
+class TestLatticeAlgebra:
+    # _mul_add is the one product the cubic recursion runs; the ring laws
+    # hold exactly on Gaussian-integer lattice dicts
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a=lattice_dicts, b=lattice_dicts, weight=st.integers(-5, 5))
+    def test_matches_schoolbook_product(self, a, b, weight):
+        expect = {}
+        lattice_add(expect, lattice_product(a, b), weight)
+        assert mul_add_product(a, b, weight=weight) == nonzero(expect)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a=lattice_dicts, b=lattice_dicts)
+    def test_commutative(self, a, b):
+        assert mul_add_product(a, b) == mul_add_product(b, a)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a=lattice_dicts, b=lattice_dicts, c=lattice_dicts)
+    def test_associative(self, a, b, c):
+        assert mul_add_product(mul_add_product(a, b), c) == mul_add_product(a, mul_add_product(b, c))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a=lattice_dicts, b=lattice_dicts, c=lattice_dicts)
+    def test_distributive_through_accumulation(self, a, b, c):
+        # acc += a b then acc += a c is a (b + c)
+        acc = {}
+        _mul_add(acc, a, b, 1, False)
+        _mul_add(acc, a, c, 1, False)
+        b_plus_c = dict(b)
+        lattice_add(b_plus_c, c)
+        assert nonzero(acc) == mul_add_product(a, b_plus_c)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a=lattice_dicts, b=lattice_dicts, weight=st.integers(-5, 5))
+    def test_conj_flag_multiplies_by_conjugate(self, a, b, weight):
+        assert mul_add_product(a, b, True, weight) == mul_add_product(a, lattice_conj(b), False, weight)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a=lattice_dicts, b=lattice_dicts)
+    def test_conj_twice_is_identity(self, a, b):
+        assert mul_add_product(a, lattice_conj(b), True) == mul_add_product(a, b)
 
 
 class TestTaylor:
@@ -420,6 +479,37 @@ def test_full_nls_multimode_matches_fourier_recursion(modes, gamma, order):
             got[int(round(a.imag)) + kmax] += c
         scale = np.sum(np.abs(ref[n]))
         assert np.max(np.abs(got - ref[n])) <= 1e-14 * scale, n
+
+
+def test_full_nls_multimode_matches_split_step():
+    # an independent route for genuinely cubic data: the ADM partial sum at a
+    # small t against split-step, Richardson-extrapolated in dt
+    # ((4 fine - coarse)/3 cancels the dt^2 splitting error; plain split-step
+    # is 7.9e-9 off at 50 steps, 2.0e-9 at 100).  The modes the 64-point grid
+    # cannot hold, |k| > 32, carry at most 1.1e-30 at this t.  Keep t small:
+    # near the series' radius (t = 0.05) order 12 is 1.3e-6 off.
+    u0 = ExpSum(((1.0, 1j), (0.5, -2j)))
+    t = 0.01
+    grid = Grid(2 * math.pi, 64)
+    state = GridState(grid, [u0.eval(float(x)) for x in grid.points], 0.0)
+    coarse = split_step_nls(state, 1.0, t / 50, 50).values
+    fine = split_step_nls(state, 1.0, t / 100, 100).values
+    ref = (4.0 * fine - coarse) / 3.0
+    sol = adm_series(u0, Equation.full_nls(1.0), 16)
+    for order in (12, 14, 16):
+        got = np.array([partial_sum_eval(sol, order, float(x), t) for x in grid.points])
+        # measured 2.5e-14 at every order
+        assert np.max(np.abs(got - ref)) <= 2e-13, order
+
+
+def test_full_nls_keeps_every_exact_mode():
+    # term n of 0.1e^{ix} + 0.3e^{-2ix} has the 2(n+1) modes e^{ikx},
+    # k = 1+3n-3j for j = 0..2n+1; coefficients span more than 15 decades,
+    # and none is cut for being small beside the largest
+    sol = adm_series(ExpSum(((0.1, 1j), (0.3, -2j))), Equation.full_nls(0.1), 15)
+    for n in range(16):
+        modes = [a for _, a in monomial_coeff(sol, n).terms]
+        assert modes == [complex(0, 1 + 3 * n - 3 * j) for j in range(2 * n + 1, -1, -1)], n
 
 
 @pytest.mark.parametrize("gamma", [2.0, -2.0, -3.0, -6.0])
