@@ -37,6 +37,7 @@ from .exact import (
     closed_form_terms,
     exact_linear,
     exact_reduced_nls,
+    exact_solution,
     remainder_closed_form,
 )
 from .grid import (
@@ -92,6 +93,7 @@ __all__ = [
     "closed_form_terms",
     "exact_linear",
     "exact_reduced_nls",
+    "exact_solution",
     "remainder_closed_form",
     "Grid",
     "GridState",

@@ -48,7 +48,7 @@ from .errors import (
     SeriesMirageError,
     UnsupportedEquationError,
 )
-from .exact import closed_form_terms, exact_linear, exact_reduced_nls, remainder_closed_form
+from .exact import closed_form_terms, exact_solution, remainder_closed_form
 from .expsum import MAX_T_DEGREE, ExpSum, tpoly_diff
 from .grid import (
     Grid,
@@ -284,11 +284,10 @@ def _vector_csv(v: np.ndarray) -> str:
 def _run_series(cfg: ExperimentConfig, out: Path) -> list[str]:
     if cfg.experiment in ("example1", "example2"):
         u0 = _EX1_U0 if cfg.experiment == "example1" else _EX2_U0
-        exact = exact_linear(u0)
         eq_for = dict.fromkeys(("hpm", "adm", "taylor"), Equation.linear())
     else:
         gamma = cfg["gamma"]
-        u0, exact = _EX34_U0, exact_reduced_nls(1.0, gamma)
+        u0 = _EX34_U0
         # the Adomian route takes the genuinely cubic equation; the other two
         # take its unit-modulus linear reduction
         eq_for = {
@@ -319,7 +318,7 @@ def _run_series(cfg: ExperimentConfig, out: Path) -> list[str]:
     preferred = next(m for m in ("adm", "taylor", "hpm") if m in solutions)
     table = truncation_error_table(
         solutions[preferred],
-        exact,
+        exact_solution(u0, eq_for[preferred]),
         range(cfg["order"] + 1),
         _linspace(cfg["t0"], cfg["t1"], cfg["t_steps"]),
         _linspace(cfg["x0"], cfg["x1"], cfg["x_steps"]),
@@ -360,7 +359,7 @@ def _run_nls_reference(cfg: ExperimentConfig, out: Path) -> list[str]:
     grid = Grid(cfg["grid_L"], cfg["grid_n"])
     gamma, dt = cfg["gamma"], cfg["dt"]
     state = sample(grid, lambda x: complex(math.cos(x), math.sin(x)))
-    exact = exact_reduced_nls(1.0, gamma)
+    exact = exact_solution(_EX34_U0, Equation.full_nls(gamma))
     checkpoints = _linspace(0.0, cfg["t1"], cfg["t_steps"])
     rows = []
     total_steps = 0

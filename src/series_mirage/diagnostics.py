@@ -8,10 +8,10 @@ import math
 from dataclasses import dataclass
 
 from .csvfmt import format_csv
-from .errors import EvaluationOverflowError, InvalidInputError
-from .exact import ExactEvaluator, remainder_closed_form
+from .errors import EvaluationOverflowError, InvalidInputError, UnsupportedEquationError
+from .exact import ExactEvaluator, _modes, _rounded, remainder_closed_form
 from .expsum import ExpSum
-from .methods import EquationKind, SeriesSolution, _check_order, _coefficient_values, _partial_sums
+from .methods import SeriesSolution, _check_order, _coefficient_values, _partial_sums
 from .methods import partial_sum_eval  # noqa: F401  (the benchmark's tracer patches it here)
 
 #: |Re a| below this counts as a purely oscillatory exponent
@@ -80,51 +80,27 @@ class ErrorTable:
 def _tail_bound_params(sol: SeriesSolution, x_samples) -> tuple[float, float] | None:
     """Frequency and amplitude for the factorial tail bound, if applicable.
 
-    The bound applies when the evolved solution is (amplitude in x) * e^{ibt}
-    with a single real nonzero frequency b: every exponent must have a real
-    square, the nonzero frequencies b_j = -a_j^2 (linear) or g + a_j^2
-    (reduced/full with unit-modulus data) must coincide, and terms with
-    b_j = 0 are reproduced exactly at every order so they never contribute.
+    The bound applies when the closed form is (amplitude in x) * e^{ibt}:
+    every nonzero rate of :func:`~series_mirage.exact._modes` must be the same
+    purely imaginary ib, exactly.  Modes of rate 0 are reproduced exactly at
+    every order, so they never contribute; data without a closed form
+    (genuinely cubic) get no bound.
     """
-    u0 = sol.terms[0].coeff(0)
-    if u0.is_zero:
+    try:
+        modes = [m for m in _modes(sol.terms[0].coeff(0), sol.equation) if m[1] != (0, 0)]
+    except UnsupportedEquationError:
+        return None
+    rates = {lam for _, lam, _ in modes}
+    if not rates:
         return (0.0, 0.0)
-    kind = sol.equation.kind
-    if kind is EquationKind.FULL_NLS:
-        # valid only where the cubic equation genuinely reduces: one plane
-        # wave of unit modulus
-        if len(u0.terms) != 1:
-            return None
-        c, a = u0.terms[0]
-        if abs(a.real) > REAL_EXPONENT_TOL or abs(abs(c) - 1.0) > REAL_EXPONENT_TOL:
-            return None
-    freqs = []
-    for c, a in u0.terms:
-        a2 = a * a
-        if abs(a2.imag) > REAL_EXPONENT_TOL:
-            return None
-        if kind is EquationKind.LINEAR:
-            freqs.append(-a2.real)
-        else:
-            freqs.append(sol.equation.gamma + a2.real)
-    nonzero = [b for b in freqs if abs(b) > REAL_EXPONENT_TOL]
-    if not nonzero:
-        return (0.0, 0.0)
-    b = nonzero[0]
-    if any(abs(other - b) > REAL_EXPONENT_TOL for other in nonzero):
+    (rate, *others) = rates
+    if others or rate[0]:  # several frequencies, or growth/decay in t
         return None
     try:
-        amplitude = max(
-            sum(
-                abs(c) * math.exp(a.real * x)
-                for (c, a), bj in zip(u0.terms, freqs)
-                if abs(bj - b) <= REAL_EXPONENT_TOL
-            )
-            for x in x_samples
-        )
+        amplitude = max(sum(abs(c) * math.exp(a.real * x) for c, _, a in modes) for x in x_samples)
     except OverflowError as exc:
         raise EvaluationOverflowError(f"tail-bound amplitude overflows: {exc}") from exc
-    return (abs(b), amplitude)
+    return (abs(_rounded(rate).imag), amplitude)
 
 
 def truncation_error_table(

@@ -1,111 +1,109 @@
-"""Closed-form reference solutions, their exact series and the factorial truncation bound."""
+"""Closed forms of u_t = L u on exponential data, their exact series and the
+factorial truncation bound.
+
+Every equation of :mod:`~series_mirage.methods` evolves a mode c e^{ax} alone,
+as c e^{ax + lam t}, with lam = -i a^2 (LINEAR), i (a^2 + g) (REDUCED_NLS) or,
+for u0 one plane wave c e^{ikx}, i (a^2 + g |c|^2) (FULL_NLS); other cubic data
+raise UnsupportedEquationError.  :func:`_modes` alone writes these rates, in
+exact rationals; the evaluator (:func:`exact_solution`), the exact series
+(:func:`closed_form_terms`) and the error table's tail bound all read them.
+"""
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from .errors import EvaluationOverflowError, InvalidInputError, UnsupportedEquationError
-from .expsum import MAX_T_DEGREE, ExpSum, TimePoly
-from .methods import Equation, EquationKind
+from .expsum import ExpSum, TimePoly
+from .methods import Equation, EquationKind, _check_order
+
+
+def _modes(u0: ExpSum, eq: Equation) -> list:
+    """(c, lam, a) per mode of u0, the rate lam = (Re, Im) in exact rationals."""
+    from fractions import Fraction  # imported here: nothing else at import time needs it
+
+    kind = eq.kind
+    if kind is EquationKind.FULL_NLS and (len(u0.terms) > 1 or any(a.real for _, a in u0.terms)):
+        raise UnsupportedEquationError("the cubic closed form needs one plane wave c e^{ikx}")
+    modes = []
+    for c, a in u0.terms:
+        ar, ai = Fraction(a.real), Fraction(a.imag)
+        if kind is EquationKind.LINEAR:
+            lam = (2 * ar * ai, ai * ai - ar * ar)  # -i a^2
+        else:  # i (a^2 + g), with g |c|^2 for the cubic plane wave
+            g = Fraction(eq.gamma)
+            if kind is EquationKind.FULL_NLS:
+                g *= Fraction(c.real) ** 2 + Fraction(c.imag) ** 2
+            lam = (-2 * ar * ai, ar * ar - ai * ai + g)
+        modes.append((c, lam, a))
+    return modes
+
+
+def _rounded(lam) -> complex:
+    """An exact rate rounded once to a complex float."""
+    try:
+        return complex(float(lam[0]), float(lam[1]))
+    except OverflowError as exc:
+        raise EvaluationOverflowError(f"rate {lam[0]} + {lam[1]}i leaves the float range") from exc
 
 
 @dataclass(frozen=True)
 class ExactEvaluator:
-    """A closed-form solution u(x, t), tagged with the PDEs it satisfies."""
+    """The closed form u(x, t) = sum_j c_j exp(a_j x + lam_j t), one (c, lam, a) per mode."""
 
-    equations: tuple[Equation, ...]
-    fn: Callable[[float, float], complex] = field(repr=False, compare=False)
+    modes: tuple[tuple[complex, complex, complex], ...]
 
     def __call__(self, x: float, t: float) -> complex:
-        return self.fn(x, t)
-
-
-def exact_linear(u0: ExpSum) -> ExactEvaluator:
-    """Exact evolution of sum_j c_j e^{a_j x} under u_t + i u_xx = 0.
-
-    Each exponential evolves independently:
-
-        u(x, t) = sum_j c_j * exp(a_j x - i a_j^2 t).
-
-    For u0 = exp(3ix) this gives exp(i(3x + 9t)); note the phase is
-    i(3x + 9t), not 3(x + 3it).
-    """
-    terms = u0.terms
-
-    def fn(x: float, t: float) -> complex:
         if not (math.isfinite(x) and math.isfinite(t)):
             raise InvalidInputError(f"evaluation point must be finite, got {(x, t)!r}")
         total = 0j
-        for c, a in terms:
+        for c, lam, a in self.modes:
             try:
-                total += c * cmath.exp(a * x - 1j * a * a * t)
+                total += c * cmath.exp(a * x + lam * t)
             except OverflowError as exc:
                 raise EvaluationOverflowError(
-                    f"exp overflow in term {c!r}*exp({a!r}*x) at x={x!r}, t={t!r}"
+                    f"exp overflow in term {c!r}*exp({a!r}*x + {lam!r}*t) at x={x!r}, t={t!r}"
                 ) from exc
         if not cmath.isfinite(total):
             raise EvaluationOverflowError(f"non-finite evaluation at x={x!r}, t={t!r}")
         return total
 
-    return ExactEvaluator(equations=(Equation.linear(),), fn=fn)
+
+def exact_solution(u0: ExpSum, eq: Equation) -> ExactEvaluator:
+    """The closed form of u0 under eq, each rate of :func:`_modes` rounded once.
+
+    For u0 = exp(3ix) under the linear equation this is exp(i(3x + 9t)).
+    """
+    return ExactEvaluator(tuple((c, _rounded(lam), a) for c, lam, a in _modes(u0, eq)))
+
+
+def exact_linear(u0: ExpSum) -> ExactEvaluator:
+    """The closed form of u0 under u_t + i u_xx = 0."""
+    return exact_solution(u0, Equation.linear())
 
 
 def exact_reduced_nls(alpha: float, gamma: float) -> ExactEvaluator:
-    """Plane-wave solution e^{i a x} e^{i(g - a^2) t} of the reduced equation.
+    """The plane wave e^{i(alpha x + (gamma - alpha^2) t)} of the reduced equation.
 
-    Its modulus is identically 1, so the cubic term g|u|^2 u equals g u and
-    the same function also solves the full cubic equation; the evaluator is
-    tagged as valid for both.
+    Its modulus is 1, so it also solves the full cubic equation.
     """
-    if not (math.isfinite(alpha) and math.isfinite(gamma)):
-        raise InvalidInputError(
-            f"parameters must be finite, got alpha={alpha!r}, gamma={gamma!r}"
-        )
-    alpha = float(alpha)
-    gamma = float(gamma)
-    omega = gamma - alpha * alpha
-
-    def fn(x: float, t: float) -> complex:
-        if not (math.isfinite(x) and math.isfinite(t)):
-            raise InvalidInputError(f"evaluation point must be finite, got {(x, t)!r}")
-        return cmath.exp(1j * (alpha * x + omega * t))
-
-    return ExactEvaluator(
-        equations=(Equation.reduced_nls(gamma), Equation.full_nls(gamma)),
-        fn=fn,
-    )
+    return exact_solution(ExpSum.single(1, complex(0.0, alpha)), Equation.reduced_nls(gamma))
 
 
 def closed_form_terms(u0: ExpSum, eq: Equation, order: int) -> tuple[TimePoly, ...]:
     """Terms u_0..u_order of the closed form's Taylor series in t, exactly.
 
-    Mode c e^{ax} of u0 evolves alone as c e^{lam t} e^{ax}, with lam = -i a^2
-    (LINEAR), i (a^2 + g) (REDUCED_NLS) or, when u0 is one plane wave of
-    constant modulus |c| (a purely imaginary), i (a^2 + g |c|^2) (FULL_NLS);
-    other cubic data raise UnsupportedEquationError.  Term n,
-    sum_j c_j lam_j^n/n! e^{a_j x} t^n, is computed in rationals and rounded
-    once, sharing no code with the recursion of :mod:`~series_mirage.methods`,
-    whose terms must equal these bit for bit.
+    Term n, sum_j c_j lam_j^n/n! e^{a_j x} t^n with the rates of
+    :func:`_modes`, is computed in rationals and rounded once, sharing no
+    code with the recursion of :mod:`~series_mirage.methods`, whose terms
+    must equal these bit for bit.
     """
-    from fractions import Fraction  # imported here: nothing else in the package loads it
+    from fractions import Fraction
 
-    if not isinstance(order, int) or isinstance(order, bool) or not 0 <= order <= MAX_T_DEGREE:
-        raise InvalidInputError(f"order must be an integer in [0, {MAX_T_DEGREE}], got {order!r}")
-    kind = eq.kind
-    if kind is EquationKind.FULL_NLS and (len(u0.terms) > 1 or any(a.real for _, a in u0.terms)):
-        raise UnsupportedEquationError("the cubic closed form needs one plane wave c e^{ikx}")
-    modes = []  # (c lam^n/n!, lam, a) per mode, complex rationals as (re, im)
-    for c, a in u0.terms:
-        cr, ci, ar, ai = map(Fraction, (c.real, c.imag, a.real, a.imag))
-        if kind is EquationKind.LINEAR:
-            lam = (2 * ar * ai, ai * ai - ar * ar)  # -i a^2
-        else:  # i (a^2 + g), with g |c|^2 for the cubic plane wave
-            g = Fraction(eq.gamma) * (1 if kind is EquationKind.REDUCED_NLS else cr * cr + ci * ci)
-            lam = (-2 * ar * ai, ar * ar - ai * ai + g)
-        modes.append(((cr, ci), lam, a))
+    _check_order(order)
+    modes = [((Fraction(c.real), Fraction(c.imag)), lam, a) for c, lam, a in _modes(u0, eq)]
     terms = []
     for n in range(order + 1):
         try:

@@ -158,6 +158,8 @@ def gaussian_packet(center: float, sigma: float) -> Callable[[float], complex]:
         raise InvalidInputError(
             f"packet parameters must be finite with sigma > 0, got {(center, sigma)!r}"
         )
+    if not sigma * sigma:
+        raise EvaluationOverflowError(f"sigma^2 underflows to 0 for sigma={sigma!r}")
     norm = (2.0 * math.pi * sigma * sigma) ** -0.25
     denom = 4.0 * sigma * sigma
 

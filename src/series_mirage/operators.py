@@ -50,9 +50,11 @@ class OperatorSpec:
             raise InvalidInputError(
                 f"eigenvectors are not orthonormal (max deviation {ortho:.3e})"
             )
+        # rounding in apply(f) grows with the spectral radius rho
+        tol = _EIGEN_TOL * max(1.0, float(np.max(np.abs(a))))
         for k in range(self.dim):
             res = np.max(np.abs(self.apply(v[:, k]) - a[k] * v[:, k]))
-            if res > _EIGEN_TOL:
+            if res > tol:
                 raise InvalidInputError(
                     f"stored eigenpair k={k} fails apply(f)=a*f (residual {res:.3e})"
                 )
@@ -77,8 +79,10 @@ def laplacian_dirichlet(n: int, h: float) -> OperatorSpec:
         raise InvalidInputError(f"dimension must be an integer >= 2, got {n!r}")
     if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
         raise InvalidInputError(f"spacing must be positive, got {h!r}")
-    h = float(h)
-    inv_h2 = 1.0 / (h * h)
+    h2 = float(h) * float(h)
+    inv_h2 = 1.0 / h2 if h2 else math.inf
+    if not math.isfinite(inv_h2):
+        raise EvaluationOverflowError(f"1/h^2 leaves the float range for spacing h={h!r}")
     k = np.arange(1, n + 1)
     eigenvalues = -(2.0 - 2.0 * np.cos(k * np.pi / (n + 1))) * inv_h2
     j = np.arange(1, n + 1)

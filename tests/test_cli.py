@@ -272,6 +272,26 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("config, code", [
+        ({"h": 1e-200}, 3),
+        ({"h": 1e-160}, 3),
+        ({"h": 0.01, "grid_n": 256, "t1": 1e-5}, 0),
+        ({"h": 0.001, "t1": 1e-6}, 0),
+    ])
+    def test_operator_small_spacing(self, tmp_path, capsys, config, code):
+        f = tmp_path / "run.json"
+        f.write_text(json.dumps(config))
+        assert main(["operator", "--config", str(f), "--out", str(tmp_path / "out")]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma, code", [(1e-300, 3), (1e-200, 3), (1e-160, 0), (1e-3, 0)])
+    def test_gaussian_free_small_sigma(self, tmp_path, capsys, sigma, code):
+        f = tmp_path / "run.json"
+        f.write_text(json.dumps({"sigma": sigma}))
+        assert main(["gaussian-free", "--config", str(f), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and ("sigma" in err) == (code == 3)
+
 
 class TestSeriesExperiments:
     def test_example1_terms_cover_methods(self, tmp_path):

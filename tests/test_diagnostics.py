@@ -15,7 +15,7 @@ from series_mirage.diagnostics import (
     unit_modulus_deviation,
 )
 from series_mirage.errors import EvaluationOverflowError, InvalidInputError
-from series_mirage.exact import ExactEvaluator, exact_linear, exact_reduced_nls
+from series_mirage.exact import exact_linear, exact_reduced_nls, exact_solution
 from series_mirage.expsum import ExpSum, TimePoly
 from series_mirage.methods import (
     Equation,
@@ -67,7 +67,7 @@ TABLE_CASES = {
     ),
     "two-mode-adm": (
         adm_series(TWO_MODE, Equation.full_nls(2.0), 8),
-        ExactEvaluator((Equation.full_nls(2.0),), _two_mode_guess), range(9), [0.05, 0.2],
+        _two_mode_guess, range(9), [0.05, 0.2],
     ),
     "hand-built": (HAND_BUILT, exact_linear(COSH_SUM), [3, 0, 1, 2], [0.0, 0.7, 1.5]),
 }
@@ -179,6 +179,25 @@ class TestErrorTable:
         table = truncation_error_table(sol, exact_linear(u0), [3], [0.5], X_SAMPLES)
         assert table.rows[0].bound is None
 
+    def test_no_bound_for_near_equal_frequencies(self):
+        # b = 1 and (1 + 2^-45)^2, 6e-14 apart: rates must be equal exactly
+        u0 = ExpSum(((1, 1j), (1, -1j)))
+        near = ExpSum(((1, 1j), (1, -(1 + 2.0**-45) * 1j)))
+        for data, shared in ((u0, True), (near, False)):
+            sol = taylor_series(data, Equation.linear(), 6)
+            table = truncation_error_table(sol, exact_linear(data), [3], [0.5], X_SAMPLES)
+            assert (table.rows[0].bound is not None) == shared
+
+    def test_cubic_plane_wave_of_any_modulus_has_a_bound(self):
+        u0 = ExpSum.single(0.5, 1j)
+        sol = adm_series(u0, Equation.full_nls(2.0), 16)
+        exact = exact_solution(u0, Equation.full_nls(2.0))
+        table = truncation_error_table(sol, exact, range(17), [0.0, 0.5, 1.0, 2.0], X_SAMPLES)
+        assert len(table.rows) == 68
+        for r in table.rows:
+            assert r.bound is not None
+            assert r.sup_error <= r.bound + FLOAT_SLACK
+
     def test_orders_out_of_range(self):
         sol = taylor_series(COSH_SUM, Equation.linear(), 4)
         with pytest.raises(InvalidInputError):
@@ -230,7 +249,7 @@ class TestErrorTable:
         args = ([0, 2, 3], [0.1, 0.5], X_SAMPLES)
         plain = truncation_error_table(sol, exact, *args)
         monkeypatch.setattr(ExpSum, "eval", counted_eval)
-        table = truncation_error_table(sol, ExactEvaluator(exact.equations, counted), *args)
+        table = truncation_error_table(sol, counted, *args)
         nonzero = sum(not c.is_zero for p in sol.terms for c in p.coeffs)
         assert nonzero == 5
         assert len(evals) <= nonzero * len(X_SAMPLES)
@@ -248,7 +267,7 @@ class TestErrorTable:
 
         with pytest.raises(EvaluationOverflowError, match="exact solution at t=1.0"):
             truncation_error_table(
-                sol, ExactEvaluator(exact.equations, overflowing), [0, 4], [0.1, 1.0], X_SAMPLES
+                sol, overflowing, [0, 4], [0.1, 1.0], X_SAMPLES
             )
 
     def test_series_overflow_names_the_term_and_point(self):
@@ -256,7 +275,7 @@ class TestErrorTable:
         # leave no tail bound, and the reference is a harmless 0j
         u0 = ExpSum(((1, 1), (1, 2)))
         sol = taylor_series(u0, Equation.linear(), 3)
-        zero = ExactEvaluator((Equation.linear(),), lambda x, t: 0j)
+        zero = lambda x, t: 0j
         term = r"\(1\+0j\)\*exp\(\(1\+0j\)\*x\) at x=800\.0"
         with pytest.raises(EvaluationOverflowError, match=term):
             truncation_error_table(sol, zero, [0, 3], [0.1], [0.0, 800.0])
@@ -266,7 +285,7 @@ class TestErrorTable:
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_non_finite_time_rejected(self, t):
         sol = taylor_series(COSH_SUM, Equation.linear(), 4)
-        zero = ExactEvaluator((Equation.linear(),), lambda x, t: 0j)
+        zero = lambda x, t: 0j
         with pytest.raises(InvalidInputError, match="evaluation time must be finite"):
             truncation_error_table(sol, zero, [0, 4], [t], X_SAMPLES)
         with pytest.raises(InvalidInputError, match="evaluation time must be finite"):

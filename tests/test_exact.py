@@ -2,13 +2,18 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import series_mirage
 from series_mirage.errors import (
     EvaluationOverflowError,
     InvalidInputError,
@@ -18,6 +23,7 @@ from series_mirage.exact import (
     closed_form_terms,
     exact_linear,
     exact_reduced_nls,
+    exact_solution,
     remainder_closed_form,
 )
 from series_mirage.expsum import ExpSum
@@ -88,7 +94,6 @@ class TestExactLinear:
     def test_satisfies_pde_by_finite_differences(self):
         for u0 in (COSH_SUM, ExpSum.single(1, 3j)):
             ev = exact_linear(u0)
-            assert ev.equations[0].kind is EquationKind.LINEAR
             for x in X_SAMPLES:
                 for t in T_SAMPLES:
                     res = fd_residual_linear(ev, x, t)
@@ -116,10 +121,12 @@ class TestExactReducedNls:
             for t in T_SAMPLES:
                 assert abs(abs(ev(x, t)) - 1.0) <= 1e-12
 
-    def test_tagged_for_both_equations(self):
+    def test_equals_the_cubic_closed_form(self):
         ev = exact_reduced_nls(1.0, 2.0)
-        kinds = {eq.kind for eq in ev.equations}
-        assert kinds == {EquationKind.REDUCED_NLS, EquationKind.FULL_NLS}
+        cubic = exact_solution(ExpSum.single(1, 1j), Equation.full_nls(2.0))
+        for x in X_SAMPLES:
+            for t in T_SAMPLES:
+                assert ev(x, t) == cubic(x, t)
 
     def test_satisfies_both_pdes_by_finite_differences(self):
         for gamma in (2.0, -2.0):
@@ -132,6 +139,20 @@ class TestExactReducedNls:
     def test_nonfinite_parameters_rejected(self):
         with pytest.raises(InvalidInputError):
             exact_reduced_nls(float("inf"), 1.0)
+
+
+class TestExactSolution:
+    def test_cubic_plane_wave_of_any_modulus(self):
+        # 0.5e^{ix}, g = 2: u = 0.5 e^{i(x + (2 * 0.25 - 1) t)}
+        ev = exact_solution(ExpSum.single(0.5, 1j), Equation.full_nls(2.0))
+        for x in X_SAMPLES[::2]:
+            for t in T_SAMPLES[::2]:
+                assert abs(ev(x, t) - 0.5 * cmath.exp(1j * (x - 0.5 * t))) < 1e-13
+                assert abs(fd_residual_cubic(ev, 2.0, x, t)) <= 1e-6 * 2
+
+    def test_genuinely_cubic_data_unsupported(self):
+        with pytest.raises(UnsupportedEquationError):
+            exact_solution(ExpSum(((1, 1j), (0.5, -2j))), Equation.full_nls(2.0))
 
 
 class TestRemainderBound:
@@ -247,6 +268,7 @@ class TestClosedFormTerms:
     def test_zero_data(self):
         for eq in (Equation.linear(), Equation.reduced_nls(1.0), Equation.full_nls(1.0)):
             assert all(t.is_zero for t in closed_form_terms(ExpSum.zero(), eq, 4))
+            assert exact_solution(ExpSum.zero(), eq)(0.3, 1.5) == 0
 
     @pytest.mark.parametrize(
         "u0",
@@ -319,3 +341,14 @@ def test_cubic_plane_waves_equal_closed_form(c, k, gamma, order):
     assert_generators_equal_closed_form(
         ExpSum.single(complex(*c), 1j * k), Equation.full_nls(gamma), order
     )
+
+
+def test_import_leaves_fractions_and_decimal_unloaded():
+    # the rates are rational only on demand: importing fractions (which loads
+    # decimal) with the package would slow every fresh start
+    code = "import sys, series_mirage; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    path = [str(Path(series_mirage.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -74,6 +74,11 @@ class TestGridAndSampling:
         # periodization error: the packet at the domain edge is ~exp(-400)
         assert abs(packet_state.values[0]) < 1e-15
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-200])
+    def test_gaussian_sigma_underflow_raises(self, sigma):
+        with pytest.raises(EvaluationOverflowError, match="sigma"):
+            gaussian_packet(0.0, sigma)
+
     def test_sample_nonfinite_names_point(self, small_grid):
         def bad(x):
             return float("nan") if x > 3.0 else 1.0

@@ -61,6 +61,31 @@ class TestLaplacian:
         with pytest.raises(InvalidInputError):
             OperatorSpec(4, op.apply, -np.abs(op.eigenvalues) * 2, op.eigenvectors)
 
+    @pytest.mark.parametrize("n, h", [(256, 0.01), (16, 0.001)])
+    def test_small_spacing_builds(self, n, h):
+        # rounding in apply(f) grows with rho ~ 4/h^2, past an absolute 1e-10
+        op = laplacian_dirichlet(n, h)
+        rho = float(np.max(np.abs(op.eigenvalues)))
+        assert 3.9 / h**2 < rho < 4 / h**2
+        for k in (0, n // 2, n - 1):
+            f = op.eigenvectors[:, k]
+            assert np.max(np.abs(op.apply(f) - op.eigenvalues[k] * f)) <= 1e-13 * rho
+
+    @pytest.mark.parametrize("n, h", [(256, 0.01), (16, 0.001)])
+    def test_wrong_eigenpairs_rejected_at_small_spacing(self, n, h):
+        op = laplacian_dirichlet(n, h)
+        swapped = op.eigenvalues.copy()
+        swapped[[0, 1]] = swapped[[1, 0]]
+        for values in (-op.eigenvalues, swapped):
+            with pytest.raises(InvalidInputError, match="stored eigenpair"):
+                OperatorSpec(n, op.apply, values, op.eigenvectors)
+
+    @pytest.mark.parametrize("h", [1e-160, 1e-200])
+    def test_overflowing_spacing_raises(self, h):
+        # 1/h^2 is inf at 1e-160; h^2 underflows to 0 at 1e-200
+        with pytest.raises(EvaluationOverflowError, match="1/h"):
+            laplacian_dirichlet(8, h)
+
 
 class TestSeriesEvolve:
     def test_order_zero_is_identity(self, lap16):
