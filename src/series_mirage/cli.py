@@ -347,8 +347,11 @@ def _run_operator(cfg: ExperimentConfig, out: Path) -> list[str]:
 def _run_gaussian_free(cfg: ExperimentConfig, out: Path) -> list[str]:
     grid = Grid(cfg["grid_L"], cfg["grid_n"])
     state0 = sample(grid, gaussian_packet(grid.length / 2.0, cfg["sigma"]))
+    if abs((norm := l2_norm(state0)) - 1.0) > 1e-10:  # unresolved, or wider than the box
+        raise CrossCheckError(f"the packet with sigma={cfg['sigma']!r} sampled at spacing "
+                              f"{grid.length / grid.n!r} has L2 norm {norm!r}, not 1")
     state = free_propagate_spectral(state0, cfg["t1"])
-    drift = abs(l2_norm(state) - l2_norm(state0))
+    drift = abs(l2_norm(state) - norm)
     if drift > 1e-10:
         raise CrossCheckError(f"free propagation changed the L2 norm by {drift:.3e}")
     _write(out, "state.csv", _grid_state_csv(state))

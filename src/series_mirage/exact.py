@@ -117,19 +117,21 @@ def closed_form_terms(u0: ExpSum, eq: Equation, order: int) -> tuple[TimePoly, .
 
 
 def remainder_closed_form(b: float, amplitude: float, order: int, t: float) -> float:
-    """Tail bound for a truncated exponential series.
+    """amplitude * |bt|^(order+1) / (order+1)! * e^{|bt|}, the standard
+    remainder estimate bounding |amplitude * (e^{ibt} - sum_{n<=order} (ibt)^n/n!)|.
 
-    Bounds |amplitude * (e^{ibt} - sum_{n<=order} (ibt)^n/n!)| by
-
-        amplitude * |bt|^(order+1) / (order+1)! * e^{|bt|},
-
-    the standard remainder estimate for the exponential series.  The power
-    and factorial are folded together as a running product of |bt|/k factors
+    Power and factorial are folded into a running product of |bt|/k factors
     so large orders cannot overflow; a bound that leaves the double range
     (e^{|bt|} alone does past |bt| ~ 709) raises EvaluationOverflowError.
     """
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise InvalidInputError(f"order must be a nonnegative integer, got {order!r}")
+    return _tail_bounds(b, amplitude, [order], t)[0]
+
+
+def _tail_bounds(b: float, amplitude: float, orders, t: float) -> list[float]:
+    """:func:`remainder_closed_form` at each of the ascending ``orders``,
+    bit for bit and with the same errors, from one running product."""
     if not (math.isfinite(b) and math.isfinite(amplitude)):
         raise InvalidInputError(f"b and amplitude must be finite, got {(b, amplitude)!r}")
     if not (math.isfinite(t) and t >= 0):
@@ -139,10 +141,14 @@ def remainder_closed_form(b: float, amplitude: float, order: int, t: float) -> f
         tail = amplitude * math.exp(z)
     except OverflowError as exc:
         raise EvaluationOverflowError(f"tail bound overflows: e^{z!r}") from exc
-    for k in range(1, order + 2):
-        tail *= z / k
-    if not math.isfinite(tail):
-        raise EvaluationOverflowError(
-            f"tail bound is not finite for |bt|={z!r}, amplitude={amplitude!r}, order={order}"
-        )
-    return tail
+    bounds, k = [], 1
+    for order in orders:
+        while k <= order + 1:
+            tail *= z / k
+            k += 1
+        if not math.isfinite(tail):
+            raise EvaluationOverflowError(
+                f"tail bound is not finite for |bt|={z!r}, amplitude={amplitude!r}, order={order}"
+            )
+        bounds.append(tail)
+    return bounds

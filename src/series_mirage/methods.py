@@ -45,6 +45,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EvaluationOverflowError, InvalidInputError, UnsupportedEquationError
 from .expsum import MAX_T_DEGREE, ExpSum, TimePoly, tpoly_diff
 
@@ -253,37 +255,37 @@ def adomian_cubic(vs: list[_Lattice], pairs: list[_Lattice] | None = None) -> _L
     return total
 
 
-def _coefficient_values(sol: SeriesSolution, order: int, x: float) -> list[list[complex]]:
-    """Values at x of the t-power coefficients of u_0..u_order, highest power first.
-
-    Each nonzero coefficient is evaluated once; an empty one stands for 0j.
-    """
+def _coefficient_array(sol: SeriesSolution, order: int, xs) -> np.ndarray:
+    """(power, term, x) values of the t-power coefficients of u_0..u_order,
+    highest power first; each nonzero one is evaluated once per x, x by x."""
     terms = sol.terms[: order + 1]
-    return [[0j if c.is_zero else c.eval(x) for c in reversed(p.coeffs)] for p in terms]
+    deg = max(len(p.coeffs) for p in terms)
+    slots = [(row, j, c) for j, p in enumerate(terms)
+             for row, c in enumerate(reversed(p.coeffs), deg - len(p.coeffs)) if not c.is_zero]
+    values = np.zeros((deg, len(terms), len(xs)), complex)
+    for i, x in enumerate(xs):
+        for row, j, c in slots:
+            values[row, j, i] = c.eval(x)
+    return values
 
 
-def _partial_sums(values: list[list[complex]], t: float) -> list[complex]:
-    """Partial sums S_0..S_N at t from the :func:`_coefficient_values` at one x.
-
-    Each term is Horner-evaluated in t as :meth:`TimePoly.eval` does, and the
-    terms are added left to right into one running sum.
-    """
+def _partial_sum_array(values: np.ndarray, t: float) -> np.ndarray:
+    """(term, x) partial sums at t: Horner over the powers, then a sequential
+    running sum over the terms, so each cell does the float operations of
+    :meth:`TimePoly.eval` summed term by term.  Overflow gives inf or nan."""
     if not math.isfinite(t):
         raise InvalidInputError(f"evaluation time must be finite, got {t!r}")
-    sums, s = [], 0j
-    for term in values:
-        v = 0j
-        for c in term:
-            v = v * t + c
-        s = s + v
-        sums.append(s)
-    return sums
+    v = np.zeros(values.shape[1:], complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in values:
+            v = v * t + row
+        return np.add.accumulate(v, axis=0)
 
 
 def partial_sum_eval(sol: SeriesSolution, order: int, x: float, t: float) -> complex:
     """Value of the partial sum u_0 + ... + u_order at (x, t)."""
     _check_order(order, sol.order, "partial-sum order")
-    return _partial_sums(_coefficient_values(sol, order, x), t)[-1]
+    return complex(_partial_sum_array(_coefficient_array(sol, order, [x]), t)[-1, 0])
 
 
 def series_residual(sol: SeriesSolution, order: int) -> TimePoly:
@@ -312,13 +314,6 @@ def series_residual(sol: SeriesSolution, order: int) -> TimePoly:
     return TimePoly(tuple(out))
 
 
-def series_max_term_diff(
-    a: SeriesSolution, b: SeriesSolution, upto: int | None = None
-) -> float:
-    """Largest coefficient difference between two series, term by term."""
-    n = min(a.order, b.order) if upto is None else upto
-    if n > min(a.order, b.order):
-        raise InvalidInputError(
-            f"comparison order {n} exceeds a series order ({a.order}, {b.order})"
-        )
-    return max(tpoly_diff(a.terms[k], b.terms[k]) for k in range(n + 1))
+def series_max_term_diff(a: SeriesSolution, b: SeriesSolution) -> float:
+    """Largest coefficient difference between two series over their common terms."""
+    return max(tpoly_diff(p, q) for p, q in zip(a.terms, b.terms))

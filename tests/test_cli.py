@@ -284,13 +284,17 @@ class TestMainExitCodes:
         assert main(["operator", "--config", str(f), "--out", str(tmp_path / "out")]) == code
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sigma, code", [(1e-300, 3), (1e-200, 3), (1e-160, 0), (1e-3, 0)])
+    @pytest.mark.parametrize("sigma, code", [(1e-300, 3), (1e-200, 3), (1e-160, 2), (1e-3, 2)])
     def test_gaussian_free_small_sigma(self, tmp_path, capsys, sigma, code):
+        # sigma^2 underflows (exit 3), or the grid cannot resolve the packet,
+        # whose sampled L2 norm is then far from 1 (exit 2); nothing is written
         f = tmp_path / "run.json"
         f.write_text(json.dumps({"sigma": sigma}))
         assert main(["gaussian-free", "--config", str(f), "--out", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
-        assert "Traceback" not in err and ("sigma" in err) == (code == 3)
+        assert "Traceback" not in err and f"sigma={sigma!r}" in err
+        assert ("spacing 0.078125" in err and "L2 norm" in err) == (code == 2)
+        assert not list((tmp_path / "out").iterdir())
 
 
 class TestSeriesExperiments:

@@ -2,10 +2,13 @@
 
 import cmath
 import math
+import random
 
+import numpy as np
 import pytest
 
-from series_mirage.cli import main
+from series_mirage import cli
+from series_mirage.cli import main, parse_config
 from series_mirage.diagnostics import (
     ErrorRow,
     ErrorTable,
@@ -15,7 +18,12 @@ from series_mirage.diagnostics import (
     unit_modulus_deviation,
 )
 from series_mirage.errors import EvaluationOverflowError, InvalidInputError
-from series_mirage.exact import exact_linear, exact_reduced_nls, exact_solution
+from series_mirage.exact import (
+    exact_linear,
+    exact_reduced_nls,
+    exact_solution,
+    remainder_closed_form,
+)
 from series_mirage.expsum import ExpSum, TimePoly
 from series_mirage.methods import (
     Equation,
@@ -297,6 +305,85 @@ class TestErrorTable:
         sol = taylor_series(u0, Equation.linear(), 3)
         with pytest.raises(EvaluationOverflowError, match="amplitude"):
             truncation_error_table(sol, exact_linear(u0), [3], [0.1], [0.0, 400.0])
+
+    def test_bound_column_equals_per_order_calls(self):
+        # e^{ix}: b = 1 and amplitude 1; at t = 600 the running product
+        # leaves the double range partway through the orders
+        u0 = ExpSum.single(1, 1j)
+        sol = taylor_series(u0, Equation.linear(), 40)
+        orders = [0, 1, 5, 17, 26, 27, 33, 40]
+        table = truncation_error_table(sol, exact_linear(u0), orders, [0.0, 0.5, 3.0], X_SAMPLES)
+        for r in table.rows:
+            assert r.bound == remainder_closed_form(1.0, 1.0, r.order, r.time)
+        with pytest.raises(EvaluationOverflowError) as first:
+            for n in orders:
+                remainder_closed_form(1.0, 1.0, n, 600.0)
+        assert "order=27" in str(first.value)
+        with pytest.raises(EvaluationOverflowError) as table_exc:
+            truncation_error_table(sol, exact_linear(u0), orders, [600.0], X_SAMPLES)
+        assert str(table_exc.value) == str(first.value)
+
+    def test_partial_sum_overflow_raises_instead_of_writing_nan(self):
+        # two frequencies, so no tail bound stops the run first; the order-11
+        # sum leaves the double range at t = 1e30, every row before it is finite
+        u0 = ExpSum(((0.7 + 0.2j, 3j), (0.5 - 0.1j, -2j)))
+        sol = hpm_series(u0, Equation.linear(), 16)
+        exact = exact_linear(u0)
+        with pytest.raises(EvaluationOverflowError, match=r"order-11 partial sum .* t=1e\+30"):
+            truncation_error_table(sol, exact, range(17), [0.0, 1e18, 1e30, 1e300], X_SAMPLES)
+        table = truncation_error_table(sol, exact, range(11), [0.0, 1e18, 1e30], X_SAMPLES)
+        assert max(r.sup_error for r in table.rows) > 1e302
+        for r in table.rows:
+            terms = sol.terms[: r.order + 1]
+            expect = max(
+                abs(sum((p.eval(x, r.time) for p in terms), 0j) - exact(x, r.time))
+                for x in X_SAMPLES
+            )
+            assert r.sup_error == expect
+
+    def test_hypot_rounds_like_python_abs(self):
+        # the table takes moduli with np.hypot because it must equal Python's
+        # abs(complex) bit for bit; a platform where it does not fails here
+        rng = random.Random(20261018)
+        pairs = []
+        for _ in range(5000):
+            a = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300, 300)
+            pairs.append((a, rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300, 300)))
+            pairs.append((a, a * (1.0 + rng.randint(-8, 8) * 2.0**-52)))  # near-equal
+            pairs.append((rng.randint(-2**52, 2**52) * 5e-324, rng.uniform(-1e-308, 1e-308)))
+            pairs.append((rng.uniform(-1.0, 1.0) * 1e300, rng.uniform(-1.0, 1.0) * 1e300))
+        re, im = (np.array(v) for v in zip(*pairs))
+        assert np.hypot(re, im).tolist() == [abs(complex(a, b)) for a, b in pairs]
+
+    @pytest.mark.parametrize("experiment", ["example1", "example2", "example3", "example4"])
+    def test_default_errors_csv_equals_scalar_recomputation(self, tmp_path, experiment):
+        assert main([experiment, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "errors.csv").read_text().splitlines()
+        assert lines[0] == "order,time,sup_error,bound"
+        cfg = parse_config(experiment)
+        # the CLI tabulates the ADM series of the example's own equation
+        if experiment in ("example1", "example2"):
+            u0, eq = (cli._EX1_U0 if experiment == "example1" else cli._EX2_U0), Equation.linear()
+        else:
+            u0, eq = cli._EX34_U0, Equation.full_nls(cfg["gamma"])
+        sol, exact = adm_series(u0, eq, cfg["order"]), exact_solution(u0, eq)
+        xs = cli._linspace(cfg["x0"], cfg["x1"], cfg["x_steps"])
+        got = {}
+        for line in lines[1:]:
+            order, t, err, _ = line.split(",")
+            got[int(order), float(t)] = float(err)
+        expect = {}
+        for t in cli._linspace(cfg["t0"], cfg["t1"], cfg["t_steps"]):
+            sums = []
+            for x in xs:
+                s, per_order = 0j, []
+                for p in sol.terms:
+                    s = s + p.eval(x, t)
+                    per_order.append(abs(s - exact(x, t)))
+                sums.append(per_order)
+            for n in range(cfg["order"] + 1):
+                expect[n, t] = max(per_order[n] for per_order in sums)
+        assert got == expect
 
 
 class TestUnitModulus:
